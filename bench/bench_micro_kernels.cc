@@ -113,28 +113,19 @@ std::vector<extract::PageObjects> MatcherBenchRevisions() {
   return revisions;
 }
 
-void RunMatcher(const std::vector<extract::PageObjects>& revisions,
-                bool use_flat) {
-  matching::MatcherConfig config;
-  config.use_flat_kernels = use_flat;
-  matching::TemporalMatcher matcher(extract::ObjectType::kTable, config);
+void RunMatcher(const std::vector<extract::PageObjects>& revisions) {
+  matching::TemporalMatcher matcher(extract::ObjectType::kTable);
   for (size_t r = 0; r < revisions.size(); ++r) {
     matcher.ProcessRevision(static_cast<int>(r), revisions[r].tables);
   }
   benchmark::DoNotOptimize(matcher.graph().objects().size());
 }
 
-void BM_MatchingStepLegacy(benchmark::State& state) {
+void BM_MatchingStep(benchmark::State& state) {
   auto revisions = MatcherBenchRevisions();
-  for (auto _ : state) RunMatcher(revisions, /*use_flat=*/false);
+  for (auto _ : state) RunMatcher(revisions);
 }
-BENCHMARK(BM_MatchingStepLegacy);
-
-void BM_MatchingStepFlat(benchmark::State& state) {
-  auto revisions = MatcherBenchRevisions();
-  for (auto _ : state) RunMatcher(revisions, /*use_flat=*/true);
-}
-BENCHMARK(BM_MatchingStepFlat);
+BENCHMARK(BM_MatchingStep);
 
 void BM_Hungarian(benchmark::State& state) {
   Rng rng(3);
@@ -238,9 +229,10 @@ double MeasureNsPerOp(int iters, const std::function<void()>& op) {
   return best;
 }
 
-/// Writes BENCH_matching.json: ns/op of the matcher's kernels before
-/// (legacy string-hash bags) and after (interned FlatBag merge-joins),
-/// plus the full matching step both ways.
+/// Writes BENCH_matching.json: ns/op of the similarity kernels on
+/// string-hash bags (BagOfWords, still used by the baselines and the
+/// diff layer) and on interned FlatBag merge-joins, plus one full
+/// matching step.
 int WriteJsonReport(const std::string& path) {
   Rng rng(1);
   constexpr int kTokens = 256;
@@ -269,10 +261,7 @@ int WriteJsonReport(const std::string& path) {
   double weighted_flat = MeasureNsPerOp(20000, [&] {
     benchmark::DoNotOptimize(sim::WeightedRuzicka(flat_a, flat_b, weights));
   });
-  double step_legacy =
-      MeasureNsPerOp(50, [&] { RunMatcher(revisions, /*use_flat=*/false); });
-  double step_flat =
-      MeasureNsPerOp(50, [&] { RunMatcher(revisions, /*use_flat=*/true); });
+  double step_flat = MeasureNsPerOp(50, [&] { RunMatcher(revisions); });
 
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -285,19 +274,19 @@ int WriteJsonReport(const std::string& path) {
                "  \"ns_per_op\": {\n"
                "    \"sum_min_ruzicka\": {\"legacy\": %.1f, \"flat\": %.1f},\n"
                "    \"weighted_ruzicka\": {\"legacy\": %.1f, \"flat\": %.1f},\n"
-               "    \"matching_step\": {\"legacy\": %.1f, \"flat\": %.1f}\n"
+               "    \"matching_step\": {\"flat\": %.1f}\n"
                "  }\n"
                "}\n",
                kTokens, sum_min_legacy, sum_min_flat, weighted_legacy,
-               weighted_flat, step_legacy, step_flat);
+               weighted_flat, step_flat);
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
   std::printf("sum_min_ruzicka   legacy %8.1f ns  flat %8.1f ns\n",
               sum_min_legacy, sum_min_flat);
   std::printf("weighted_ruzicka  legacy %8.1f ns  flat %8.1f ns\n",
               weighted_legacy, weighted_flat);
-  std::printf("matching_step     legacy %8.1f ns  flat %8.1f ns\n",
-              step_legacy, step_flat);
+  std::printf("matching_step                        flat %8.1f ns\n",
+              step_flat);
   return 0;
 }
 

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -85,17 +86,14 @@ ScalingReport RunSweep() {
   const std::string xml = MultiPageXml();
   for (unsigned threads : kThreadCounts) {
     core::Pipeline pipeline;
-    if (threads == 1) {
-      report.per_page_seconds.push_back(MeasureSeconds([&] {
-        auto results = pipeline.ProcessDumpXml(xml);
-        if (results.ok()) report.pages = results->size();
-      }));
-      continue;
+    std::optional<parallel::Executor> pool;
+    if (threads > 1) {
+      pool.emplace(threads);
+      pipeline.set_executor(&*pool);
     }
-    parallel::Executor pool(threads);
-    pipeline.set_executor(&pool);
     report.per_page_seconds.push_back(MeasureSeconds([&] {
-      auto results = pipeline.ProcessDumpXmlParallel(xml, threads);
+      std::istringstream in(xml);
+      auto results = pipeline.ProcessDumpStream(in, threads);
       if (results.ok()) report.pages = results->size();
     }));
   }

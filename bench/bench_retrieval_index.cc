@@ -1,10 +1,12 @@
 // Candidate-generation benchmark for the retrieval index (DESIGN.md
 // §12): a synthetic page with N tracked tables is matched against small
 // perturbed revisions, once with the all-pairs sweep and once with the
-// inverted-index path, at N = 10 / 100 / 1000 / 10000. Reports wall time
-// per matching step and the number of candidate pairs actually scored;
-// the acceptance bar is >= 5x fewer pairs scored at N = 10000 with a
-// byte-identical identity graph.
+// inverted-index path (each pinned through the matcher's test peer), at
+// N = 10 / 32 / 64 / 100 / 1000 / 10000. Reports wall time per matching
+// step, the number of candidate pairs actually scored and the tracked
+// count from which the matcher picks the index on its own
+// (TemporalMatcher::kIndexMinTracked); the acceptance bar is >= 5x fewer
+// pairs scored at N = 10000 with a byte-identical identity graph.
 //
 // The corpus is deliberately hostile to the sweep's cheap totals-based
 // upper bound: every object has the same weighted total (~40 unique
@@ -32,12 +34,13 @@
 #include "extract/object.h"
 #include "matching/graph_io.h"
 #include "matching/matcher.h"
+#include "matching/matcher_test_peer.h"
 
 namespace {
 
 using namespace somr;
 
-constexpr size_t kObjectCounts[] = {10, 100, 1000, 10000};
+constexpr size_t kObjectCounts[] = {10, 32, 64, 100, 1000, 10000};
 constexpr int kMeasuredSteps = 2;  // revisions after the seeding one
 constexpr int kIncomingPerStep = 8;
 constexpr double kAcceptanceRatio = 5.0;
@@ -108,12 +111,13 @@ struct RunResult {
 };
 
 RunResult RunEngine(const Corpus& corpus, bool indexed, int repeats) {
+  using Peer = matching::TemporalMatcherTestPeer;
   RunResult result;
   double best = 1e300;
   for (int repeat = 0; repeat < repeats; ++repeat) {
-    matching::MatcherConfig config;
-    config.enable_retrieval_index = indexed;
-    matching::TemporalMatcher matcher(extract::ObjectType::kTable, config);
+    matching::TemporalMatcher matcher(extract::ObjectType::kTable);
+    Peer::Pin(matcher, indexed ? Peer::Generator::kIndex
+                               : Peer::Generator::kSweep);
     matcher.ProcessRevision(0, corpus.seed);
     const uint64_t pairs_before = matcher.stats().similarities_computed;
     auto start = std::chrono::steady_clock::now();
@@ -178,6 +182,8 @@ void PrintReport(const std::vector<SweepRow>& rows) {
                 static_cast<unsigned long long>(row.indexed.pairs_scored),
                 PairReduction(row));
   }
+  std::printf("index chosen from %zu tracked objects\n",
+              matching::TemporalMatcher::kIndexMinTracked);
   const SweepRow& largest = rows.back();
   if (PairReduction(largest) < kAcceptanceRatio) {
     std::fprintf(stderr,
@@ -199,7 +205,8 @@ std::string CandidateGenJson(const std::vector<SweepRow>& rows) {
     }
     out << "}";
   };
-  out << "\"candidate_gen\": {\n";
+  out << "\"candidate_gen\": {\n      \"index_min_tracked\": "
+      << matching::TemporalMatcher::kIndexMinTracked << ",\n";
   emit_map(
       "swept_step_ns", [](const SweepRow& r) { return r.swept.step_ns; },
       "\"%zu\": %.0f");

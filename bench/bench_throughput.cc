@@ -4,6 +4,7 @@
 // revisions/s for the sequential pipeline and for page-parallel
 // processing.
 
+#include <sstream>
 #include <thread>
 
 #include "bench_util.h"
@@ -36,8 +37,9 @@ int main() {
   core::Pipeline pipeline;
   unsigned hw = std::max(2u, std::thread::hardware_concurrency());
   for (unsigned threads : {1u, 2u, hw}) {
+    std::istringstream in(xml);
     Timer timer;
-    auto results = pipeline.ProcessDumpXmlParallel(xml, threads);
+    auto results = pipeline.ProcessDumpStream(in, threads);
     double seconds = timer.ElapsedSeconds();
     if (!results.ok()) {
       std::printf("pipeline failed: %s\n",

@@ -65,7 +65,8 @@ int main(int argc, char** argv) {
   }
 
   core::Pipeline pipeline;
-  auto results = pipeline.ProcessDumpXml(xml);
+  std::istringstream in(xml);
+  auto results = pipeline.ProcessDumpStream(in);
   if (!results.ok()) {
     std::fprintf(stderr, "failed to parse dump: %s\n",
                  results.status().ToString().c_str());

@@ -1,15 +1,17 @@
 #!/bin/sh
 # Matching-kernel benchmark: builds the release preset and runs the micro
 # benchmarks in --json mode, writing BENCH_matching.json at the repo root
-# (ns/op for the similarity kernels and a full matching step, legacy vs
-# flat engine), then appends the executor thread-scaling sweep (per-page
-# and intra-step wall times at 1/2/4/8 workers, with the machine's
-# hardware_concurrency recorded alongside) and the candidate-generation
-# sweep (swept vs retrieval-index matching step at 10..10000 tracked
-# objects, merged under ns_per_op.candidate_gen), and the somr_lint
-# analysis-pass full-tree runtime (ns_per_op.lint_analysis). Compare the
-# file across commits to catch hot-path regressions — the observability
-# layer must stay within 2% when disabled.
+# (ns/op for the similarity kernels on string-hash and interned bags and
+# for a full matching step), then appends the executor thread-scaling
+# sweep (per-page and intra-step wall times at 1/2/4/8 workers, with the
+# machine's hardware_concurrency recorded alongside), the
+# candidate-generation sweep (swept vs retrieval-index matching step at
+# 10..10000 tracked objects and the matcher's switch constant, merged
+# under ns_per_op.candidate_gen), the context-store checkpoint/fault sweep
+# (full vs delta records, ns_per_op.state_io; about 45 s) and the
+# somr_lint analysis-pass full-tree runtime (ns_per_op.lint_analysis).
+# Compare the file across commits to catch hot-path regressions — the
+# observability layer must stay within 2% when disabled.
 #
 #   scripts/bench.sh             # build + run, writes ./BENCH_matching.json
 #   JOBS=8 scripts/bench.sh      # override build parallelism
@@ -21,13 +23,15 @@ export CMAKE_BUILD_PARALLEL_LEVEL="$JOBS"
 
 cmake --preset release
 cmake --build --preset release --target bench_micro_kernels \
-  bench_parallel_scaling bench_retrieval_index bench_lint_analysis
+  bench_parallel_scaling bench_retrieval_index bench_state_io \
+  bench_lint_analysis
 # Order matters: bench_micro_kernels writes the file fresh, the others
 # merge their sections ("parallel_scaling" at the top level, then
-# "candidate_gen" and "lint_analysis" inside "ns_per_op") into the
-# existing report.
+# "candidate_gen", "state_io" and "lint_analysis" inside "ns_per_op")
+# into the existing report.
 build/release/bench/bench_micro_kernels --json BENCH_matching.json
 build/release/bench/bench_parallel_scaling --json BENCH_matching.json
 build/release/bench/bench_retrieval_index --json BENCH_matching.json
+build/release/bench/bench_state_io --json BENCH_matching.json
 build/release/bench/bench_lint_analysis --json BENCH_matching.json
 echo "==> wrote BENCH_matching.json"

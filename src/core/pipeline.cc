@@ -94,27 +94,6 @@ PageResult Pipeline::ProcessPageWith(const xmldump::PageHistory& page,
   return result;
 }
 
-namespace {
-
-StatusOr<xmldump::Dump> ReadDumpTraced(std::string_view xml) {
-  SOMR_TRACE_SCOPE_CAT("pipeline", "pipeline/read_dump");
-  return xmldump::ReadDump(xml);
-}
-
-}  // namespace
-
-StatusOr<std::vector<PageResult>> Pipeline::ProcessDumpXml(
-    std::string_view xml) const {
-  StatusOr<xmldump::Dump> dump = ReadDumpTraced(xml);
-  if (!dump.ok()) return dump.status();
-  std::vector<PageResult> results;
-  results.reserve(dump->pages.size());
-  for (const xmldump::PageHistory& page : dump->pages) {
-    results.push_back(ProcessPage(page));
-  }
-  return results;
-}
-
 StatusOr<std::vector<PageResult>> Pipeline::ProcessDumpStream(
     std::istream& input, unsigned num_threads) const {
   xmldump::PageStreamReader reader(input);
@@ -176,42 +155,6 @@ StatusOr<std::vector<PageResult>> Pipeline::ProcessDumpStream(
       results[index] = std::move(result);
     }
   }
-  return results;
-}
-
-StatusOr<std::vector<PageResult>> Pipeline::ProcessDumpXmlParallel(
-    std::string_view xml, unsigned num_threads) const {
-  if (num_threads <= 1 && executor_ == nullptr) return ProcessDumpXml(xml);
-  StatusOr<xmldump::Dump> dump = ReadDumpTraced(xml);
-  if (!dump.ok()) return dump.status();
-
-  std::optional<parallel::Executor> local_pool;
-  parallel::Executor* exec = executor_;
-  if (exec == nullptr) {
-    local_pool.emplace(num_threads);
-    exec = &*local_pool;
-  }
-
-  // Pages are claimed in grain-sized chunks rather than one atomic
-  // fetch_add per page, and each chunk builds its results in a local
-  // vector before moving them into the shared array — page processing
-  // never writes interleaved into neighboring slots of `results`, so
-  // workers don't false-share its cachelines.
-  const size_t num_pages = dump->pages.size();
-  const size_t grain = std::max<size_t>(
-      1, num_pages / (static_cast<size_t>(exec->num_workers()) * 4 + 1));
-  std::vector<PageResult> results(num_pages);
-  exec->ParallelFor(0, num_pages, grain,
-                    [&](size_t chunk_begin, size_t chunk_end) {
-    std::vector<PageResult> chunk;
-    chunk.reserve(chunk_end - chunk_begin);
-    for (size_t i = chunk_begin; i < chunk_end; ++i) {
-      chunk.push_back(ProcessPageWith(dump->pages[i], exec));
-    }
-    for (size_t i = chunk_begin; i < chunk_end; ++i) {
-      results[i] = std::move(chunk[i - chunk_begin]);
-    }
-  });
   return results;
 }
 

@@ -2,7 +2,6 @@
 
 #include <istream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -37,26 +36,16 @@ class Pipeline {
   Pipeline() = default;
   explicit Pipeline(matching::MatcherConfig config) : config_(config) {}
 
-  /// Processes a full dump: every page independently.
-  StatusOr<std::vector<PageResult>> ProcessDumpXml(std::string_view xml) const;
-
-  /// Like ProcessDumpXml but fans the pages out over a work-stealing
-  /// pool (pages are independent). Results keep dump order and are
-  /// bit-identical to the sequential ones. Uses the executor attached
-  /// via set_executor when one is present (num_threads then only gates
-  /// the sequential fallback); otherwise spins up a local pool of
-  /// `num_threads` workers. `num_threads <= 1` without an attached
-  /// executor falls back to sequential processing.
-  StatusOr<std::vector<PageResult>> ProcessDumpXmlParallel(
-      std::string_view xml, unsigned num_threads) const;
-
-  /// Streaming variant: reads `<page>` blocks from `input` one at a time
-  /// (via xmldump::PageStreamReader) so the full dump XML is never
-  /// materialized — the reader hands pages to pool workers through a
-  /// bounded Channel, so peak memory is one page history per worker
-  /// plus the channel capacity. Executor selection is the same as
-  /// ProcessDumpXmlParallel's. Results keep dump order and are
-  /// bit-identical to ProcessDumpXml on the same bytes.
+  /// Processes a full dump, every page independently: reads `<page>`
+  /// blocks from `input` one at a time (via xmldump::PageStreamReader) so
+  /// the full dump XML is never materialized. With `num_threads <= 1` and
+  /// no attached executor the pages run sequentially on the caller's
+  /// thread. Otherwise the reader hands pages to pool workers through a
+  /// bounded Channel, so peak memory is one page history per worker plus
+  /// the channel capacity; the pool is the executor attached via
+  /// set_executor, or a local one of `num_threads` workers. Results keep
+  /// dump order and are bit-identical at any thread count. In-memory
+  /// callers wrap their bytes in a std::istringstream.
   StatusOr<std::vector<PageResult>> ProcessDumpStream(
       std::istream& input, unsigned num_threads = 1) const;
 
@@ -68,22 +57,22 @@ class Pipeline {
 
   /// Attaches a match-decision provenance sink (nullptr detaches). The
   /// sink receives one record per matcher decision, stamped with the page
-  /// title; it must be thread-safe when the parallel entry points are
-  /// used, and must outlive every subsequent Process* call.
+  /// title; it must be thread-safe when pages run on a pool, and must
+  /// outlive every subsequent Process* call.
   void set_provenance_sink(obs::ProvenanceSink* sink) {
     provenance_ = sink;
   }
 
-  /// Attaches a work-stealing pool (nullptr detaches). The parallel
-  /// entry points then run their pages on it instead of a local pool,
-  /// and every page's matchers use it for intra-step parallelism. The
-  /// executor must outlive every subsequent Process* call. Attaching
-  /// one never changes results, only wall time.
+  /// Attaches a work-stealing pool (nullptr detaches). ProcessDumpStream
+  /// then runs its pages on it instead of a local pool, and every page's
+  /// matchers use it for intra-step parallelism. The executor must
+  /// outlive every subsequent Process* call. Attaching one never changes
+  /// results, only wall time.
   void set_executor(parallel::Executor* executor) { executor_ = executor; }
 
  private:
-  /// ProcessPage with an explicit executor for the page's matchers (the
-  /// parallel entry points pass the pool their page tasks run on).
+  /// ProcessPage with an explicit executor for the page's matchers
+  /// (ProcessDumpStream passes the pool its page tasks run on).
   PageResult ProcessPageWith(const xmldump::PageHistory& page,
                              parallel::Executor* executor) const;
 

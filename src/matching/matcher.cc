@@ -13,7 +13,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/executor.h"
-#include "retrieval/shape.h"
 
 namespace somr::matching {
 
@@ -39,8 +38,6 @@ struct MatcherMetrics {
   obs::Counter* steps;
   obs::Counter* similarities;
   obs::Counter* pairs_pruned;
-  obs::Counter* pairs_blocked;
-  obs::Counter* pairs_shape_filtered;
   obs::Counter* stage1_matches;
   obs::Counter* stage2_matches;
   obs::Counter* stage3_matches;
@@ -63,8 +60,6 @@ MatcherMetrics& GetMatcherMetrics() {
     m->pairs_pruned =
         r.GetCounter("somr_match_pairs_pruned_total",
                      "pairs skipped via the weighted-total upper bound");
-    m->pairs_blocked = r.GetCounter("somr_match_pairs_blocked_total",
-                                    "pairs filtered by LSH blocking");
     m->stage1_matches = r.GetCounter("somr_match_stage1_matches_total",
                                      "edges accepted in stage 1 (local)");
     m->stage2_matches = r.GetCounter("somr_match_stage2_matches_total",
@@ -73,9 +68,6 @@ MatcherMetrics& GetMatcherMetrics() {
                                      "edges accepted in stage 3 (relaxed)");
     m->new_objects = r.GetCounter("somr_match_new_objects_total",
                                   "instances that started a new object");
-    m->pairs_shape_filtered =
-        r.GetCounter("somr_match_pairs_shape_filtered_total",
-                     "pairs filtered by the structural-skeleton signature");
     m->retrieval_postings =
         r.GetCounter("somr_retrieval_postings_total",
                      "inverted-index postings scanned by retrieval");
@@ -114,27 +106,6 @@ constexpr double kPruned = -std::numeric_limits<double>::infinity();
 TemporalMatcher::TemporalMatcher(extract::ObjectType type,
                                  MatcherConfig config)
     : type_(type), config_(config), graph_(type) {}
-
-double TemporalMatcher::DecayedSim(sim::SimilarityKind kind,
-                                   const Tracked& tracked,
-                                   const BagOfWords& candidate,
-                                   const sim::TokenWeighting& weighting) {
-  double best = 0.0;
-  double decay = 1.0;
-  int considered = 0;
-  for (auto it = tracked.recent_bags.rbegin();
-       it != tracked.recent_bags.rend() &&
-       considered < config_.rear_view_window;
-       ++it, ++considered) {
-    // Count here, not up front: pruned or short histories must not
-    // inflate the similarity counter (it feeds the Fig. 11 benchmarks).
-    ++stats_.similarities_computed;
-    double s = decay * sim::Similarity(kind, *it, candidate, weighting);
-    best = std::max(best, s);
-    decay *= config_.decay;
-  }
-  return best;
-}
 
 void TemporalMatcher::TieBreakParts(const Tracked& tracked,
                                     int new_position, int revision_index,
@@ -334,7 +305,6 @@ void TemporalMatcher::CommitAssignments(
     // Object ids are assigned sequentially, so they index tracked_.
     Tracked& t = tracked_[static_cast<size_t>(object_id)];
     append_bag(t, ni);
-    t.newest_shape = retrieval::ShapeSignature(instances[ni]);
     t.last_position = instances[ni].position;
     t.last_revision = revision_index;
   }
@@ -344,16 +314,13 @@ void TemporalMatcher::ProcessRevision(
     int revision_index, const std::vector<extract::ObjectInstance>& instances) {
   SOMR_TRACE_SCOPE_CAT("match", MatchSpanName(type_));
   // Counter values before the step: both the registry and the per-step
-  // provenance record are fed from the same deltas, so the flat and
-  // legacy engines report timing/counters identically by construction.
+  // provenance record are fed from the same deltas.
   const size_t similarities_before = stats_.similarities_computed;
   const size_t pruned_before = stats_.pairs_pruned;
-  const size_t blocked_before = stats_.pairs_blocked;
   const size_t stage1_before = stats_.stage1_matches;
   const size_t stage2_before = stats_.stage2_matches;
   const size_t stage3_before = stats_.stage3_matches;
   const size_t new_objects_before = stats_.new_objects;
-  const size_t shape_filtered_before = stats_.pairs_shape_filtered;
   const size_t tracked_before = tracked_.size();
   const retrieval::RetrievalStats retrieval_before =
       index_ != nullptr ? index_->stats() : retrieval::RetrievalStats{};
@@ -375,11 +342,7 @@ void TemporalMatcher::ProcessRevision(
   }
 
   Timer timer;
-  if (config_.use_flat_kernels) {
-    ProcessRevisionFlat(revision_index, instances);
-  } else {
-    ProcessRevisionLegacy(revision_index, instances);
-  }
+  ProcessRevisionFlat(revision_index, instances);
   const double millis = timer.ElapsedMillis();
   stats_.step_millis.push_back(millis);
 
@@ -392,13 +355,10 @@ void TemporalMatcher::ProcessRevision(
   bump(metrics.similarities, stats_.similarities_computed,
        similarities_before);
   bump(metrics.pairs_pruned, stats_.pairs_pruned, pruned_before);
-  bump(metrics.pairs_blocked, stats_.pairs_blocked, blocked_before);
   bump(metrics.stage1_matches, stats_.stage1_matches, stage1_before);
   bump(metrics.stage2_matches, stats_.stage2_matches, stage2_before);
   bump(metrics.stage3_matches, stats_.stage3_matches, stage3_before);
   bump(metrics.new_objects, stats_.new_objects, new_objects_before);
-  bump(metrics.pairs_shape_filtered, stats_.pairs_shape_filtered,
-       shape_filtered_before);
   if (index_ != nullptr) {
     const retrieval::RetrievalStats& r = index_->stats();
     bump(metrics.retrieval_postings, r.postings_scanned,
@@ -417,7 +377,6 @@ void TemporalMatcher::ProcessRevision(
     d.revision = revision_index;
     d.similarities = stats_.similarities_computed - similarities_before;
     d.pairs_pruned = stats_.pairs_pruned - pruned_before;
-    d.pairs_blocked = stats_.pairs_blocked - blocked_before;
     d.tracked_objects = tracked_before;
     d.incoming_instances = instances.size();
     d.candidates_considered = static_cast<int64_t>(last_step_candidates_);
@@ -451,10 +410,10 @@ void TemporalMatcher::ProcessRevisionFlat(
     incoming.push_back(extract::BuildFlatBag(obj, pool_, config_.features));
   }
 
-  // Lazily build the retrieval index the first time an indexed step runs
-  // (also rebuilt by the snapshot loader; see RebuildDerivedState).
-  const bool use_index = config_.enable_retrieval_index;
-  if (use_index && index_ == nullptr) RebuildDerivedState();
+  // Build the retrieval index on the first step that wants it (the
+  // snapshot loader applies the same rule; see RebuildDerivedState).
+  if (index_ == nullptr && WantsIndex()) RebuildDerivedState();
+  const bool use_index = index_ != nullptr;
 
   // Dense token weighting for this step (Sec. IV-B2). The indexed path
   // maintains the previous-version document frequencies incrementally
@@ -530,30 +489,11 @@ void TemporalMatcher::ProcessRevisionFlat(
                      : hist_total[hist_offset[ti] + h];
   };
 
-  // Optional LSH candidate blocking for the non-local stages.
-  std::vector<char> lsh_mask;  // empty = all pairs allowed
-  if (config_.enable_lsh_blocking && nt > 0 && nn > 0 &&
-      nt * nn > config_.lsh_min_pair_count) {
-    const int num_hashes = config_.lsh_bands * config_.lsh_rows;
-    sim::LshIndex index(config_.lsh_bands, config_.lsh_rows);
-    for (size_t ni = 0; ni < nn; ++ni) {
-      index.Add(static_cast<int>(ni),
-                sim::ComputeMinHash(incoming[ni], num_hashes));
-    }
-    lsh_mask.assign(nt * nn, 0);
-    for (size_t ti = 0; ti < nt; ++ti) {
-      if (tracked_[ti].newest_sig.empty()) continue;
-      for (int ni : index.Candidates(tracked_[ti].newest_sig)) {
-        lsh_mask[ti * nn + static_cast<size_t>(ni)] = 1;
-      }
-    }
-  }
-
   // Decayed upper bound for the strict measure: max over the rear-view
   // window of phi^i * min(Wa_i, Wb) / max(Wa_i, Wb). Totals only — no
   // token data touched.
-  // The sim loops honor the raw window (0 = no lookback, like the legacy
-  // DecayedSim); only history trimming clamps it to >= 1.
+  // The sim loops honor the raw window (0 = no lookback); only history
+  // trimming clamps it to >= 1.
   const size_t sim_window =
       static_cast<size_t>(std::max(config_.rear_view_window, 0));
 
@@ -645,10 +585,6 @@ void TemporalMatcher::ProcessRevisionFlat(
                           size_t ti, size_t ni) {
     return sim_probe(kind, threshold, ti, ni,
                      &stats_.similarities_computed, &stats_.pairs_pruned);
-  };
-
-  auto pair_allowed = [&](size_t ti, size_t ni) {
-    return lsh_mask.empty() || lsh_mask[ti * nn + ni] != 0;
   };
 
   // Intra-step parallel path: fill one stage's similarity values for all
@@ -840,32 +776,12 @@ void TemporalMatcher::ProcessRevisionFlat(
     index_->mutable_stats()->candidates_pruned += bound_pruned;
   }
 
-  // Shape-signature pre-filter (approximate; see MatcherConfig).
-  const bool shape_on = config_.enable_shape_prefilter;
-  std::vector<uint64_t> incoming_shapes;
-  if (shape_on) {
-    incoming_shapes.reserve(nn);
-    for (const extract::ObjectInstance& obj : instances) {
-      incoming_shapes.push_back(retrieval::ShapeSignature(obj));
-    }
-  }
-  // Shared per-pair stage filters: stage 1's positional neighborhood or
-  // the LSH mask, then the shape filter — identical for the swept and
-  // indexed enumerators, so the two paths reject the same pairs.
-  auto pair_passes = [&](const StageSpec& stage, size_t ti, size_t ni) {
-    if (stage.local_only) {
-      int diff =
-          std::abs(tracked_[ti].last_position - instances[ni].position);
-      if (diff > config_.theta_pos) return false;
-    } else if (!pair_allowed(ti, ni)) {
-      ++stats_.pairs_blocked;
-      return false;
-    }
-    if (shape_on && tracked_[ti].newest_shape != incoming_shapes[ni]) {
-      ++stats_.pairs_shape_filtered;
-      return false;
-    }
-    return true;
+  // Stage 1 only pairs objects within the positional neighborhood; the
+  // swept and indexed enumerators share this filter.
+  auto in_neighborhood = [&](const StageSpec& stage, size_t ti, size_t ni) {
+    return !stage.local_only ||
+           std::abs(tracked_[ti].last_position - instances[ni].position) <=
+               config_.theta_pos;
   };
   auto enumerate = [&](const StageSpec& stage,
                        const std::vector<bool>& tracked_matched,
@@ -884,7 +800,7 @@ void TemporalMatcher::ProcessRevisionFlat(
           const size_t ti = c.tracked;
           if (tracked_matched[ti]) continue;
           if (c.bound < stage.threshold - kBoundSlack) continue;
-          if (!pair_passes(stage, ti, ni)) continue;
+          if (!in_neighborhood(stage, ti, ni)) continue;
           cands->push_back({c.tracked, static_cast<uint32_t>(ni)});
         }
       }
@@ -902,7 +818,7 @@ void TemporalMatcher::ProcessRevisionFlat(
       if (use_index) ensure_hist(ti);  // swept stage inside an indexed step
       for (size_t ni = 0; ni < nn; ++ni) {
         if (incoming_matched[ni]) continue;
-        if (!pair_passes(stage, ti, ni)) continue;
+        if (!in_neighborhood(stage, ti, ni)) continue;
         cands->push_back(
             {static_cast<uint32_t>(ti), static_cast<uint32_t>(ni)});
       }
@@ -939,138 +855,19 @@ void TemporalMatcher::ProcessRevisionFlat(
           t.recent_flat.pop_front();
         }
         if (incremental_weights) weights_.AddPrevBag(t.recent_flat.back());
-        if (config_.enable_lsh_blocking) {
-          t.newest_sig = sim::ComputeMinHash(
-              t.recent_flat.back(), config_.lsh_bands * config_.lsh_rows);
-        }
       });
 }
 
-void TemporalMatcher::ProcessRevisionLegacy(
-    int revision_index, const std::vector<extract::ObjectInstance>& instances) {
-  const size_t nn = instances.size();
-  const size_t window =
-      static_cast<size_t>(std::max(config_.rear_view_window, 1));
-
-  // Build bags for the incoming instances.
-  std::vector<BagOfWords> incoming_bags;
-  incoming_bags.reserve(nn);
-  for (const extract::ObjectInstance& obj : instances) {
-    incoming_bags.push_back(extract::BuildBagOfWords(obj, config_.features));
+bool TemporalMatcher::WantsIndex() const {
+  switch (candidate_gen_) {
+    case CandidateGen::kBySize:
+      return tracked_.size() >= kIndexMinTracked;
+    case CandidateGen::kSweep:
+      return false;
+    case CandidateGen::kIndex:
+      return true;
   }
-
-  // Token weighting for this step (Sec. IV-B2).
-  sim::TokenWeighting weighting;
-  if (config_.use_idf_weighting) {
-    std::vector<const BagOfWords*> prev_bags;
-    prev_bags.reserve(tracked_.size());
-    for (const Tracked& t : tracked_) {
-      if (!t.recent_bags.empty()) prev_bags.push_back(&t.recent_bags.back());
-    }
-    std::vector<const BagOfWords*> new_bags;
-    new_bags.reserve(incoming_bags.size());
-    for (const BagOfWords& bag : incoming_bags) new_bags.push_back(&bag);
-    weighting =
-        sim::TokenWeighting::InverseObjectFrequency(prev_bags, new_bags);
-  }
-
-  // Similarity caches shared across stages: stage 2 reuses stage-1 strict
-  // similarities (Sec. IV-B4).
-  std::vector<double> strict_cache(tracked_.size() * nn, kUnset);
-  std::vector<double> relaxed_cache(tracked_.size() * nn, kUnset);
-
-  auto sim_at_least = [&](sim::SimilarityKind kind, double /*threshold*/,
-                          size_t ti, size_t ni) {
-    const size_t idx = ti * nn + ni;
-    std::vector<double>& cache = kind == sim::SimilarityKind::kStrict
-                                     ? strict_cache
-                                     : relaxed_cache;
-    if (!std::isnan(cache[idx])) return cache[idx];
-    double s = DecayedSim(kind, tracked_[ti], incoming_bags[ni], weighting);
-    cache[idx] = s;
-    return s;
-  };
-
-  // The legacy reference engine always enumerates the full sweep (no
-  // LSH, no retrieval index) but honors the same shape pre-filter as the
-  // flat engine so the two stay equivalent under every config.
-  const bool shape_on = config_.enable_shape_prefilter;
-  std::vector<uint64_t> incoming_shapes;
-  if (shape_on) {
-    incoming_shapes.reserve(nn);
-    for (const extract::ObjectInstance& obj : instances) {
-      incoming_shapes.push_back(retrieval::ShapeSignature(obj));
-    }
-  }
-  auto enumerate = [&](const StageSpec& stage,
-                       const std::vector<bool>& tracked_matched,
-                       const std::vector<bool>& incoming_matched,
-                       std::vector<StagePair>* cands) {
-    for (size_t ti = 0; ti < tracked_.size(); ++ti) {
-      if (tracked_matched[ti]) continue;
-      for (size_t ni = 0; ni < nn; ++ni) {
-        if (incoming_matched[ni]) continue;
-        if (stage.local_only) {
-          int diff = std::abs(tracked_[ti].last_position -
-                              instances[ni].position);
-          if (diff > config_.theta_pos) continue;
-        }
-        if (shape_on && tracked_[ti].newest_shape != incoming_shapes[ni]) {
-          ++stats_.pairs_shape_filtered;
-          continue;
-        }
-        cands->push_back(
-            {static_cast<uint32_t>(ti), static_cast<uint32_t>(ni)});
-      }
-    }
-  };
-
-  // The legacy reference engine always runs the lazy sequential path.
-  auto prefill = [](sim::SimilarityKind, double,
-                    const std::vector<StagePair>&,
-                    std::vector<double>&) { return false; };
-
-  // Provenance-only rear-view recompute (see the flat engine); bypasses
-  // DecayedSim so the similarity counter stays untouched.
-  auto describe_pair = [&](sim::SimilarityKind kind, size_t ti, size_t ni,
-                           obs::MatchDecision* d) {
-    const Tracked& t = tracked_[ti];
-    double best = -1.0;
-    int best_depth = -1;
-    double decay = 1.0;
-    int considered = 0;
-    for (auto it = t.recent_bags.rbegin();
-         it != t.recent_bags.rend() && considered < config_.rear_view_window;
-         ++it, ++considered) {
-      double s =
-          decay * sim::Similarity(kind, *it, incoming_bags[ni], weighting);
-      if (s > best) {
-        best = s;
-        best_depth = considered;
-      }
-      decay *= config_.decay;
-    }
-    d->rear_view_depth = best_depth;
-    d->rear_view_len = considered;
-  };
-
-  std::vector<int64_t> assignment(nn, -1);
-  std::vector<uint32_t> considered_per_ni(nn, 0);
-  RunStages(revision_index, instances, enumerate, sim_at_least, prefill,
-            describe_pair, assignment, considered_per_ni);
-#ifndef NDEBUG
-  {
-    ValidationReport report;
-    ValidateAssignment(assignment, tracked_.size(), &report);
-    SOMR_CHECK(report.ok()) << report.ToString();
-  }
-#endif
-  CommitAssignments(
-      revision_index, instances, assignment, considered_per_ni,
-      [&](Tracked& t, size_t ni) {
-        t.recent_bags.push_back(std::move(incoming_bags[ni]));
-        while (t.recent_bags.size() > window) t.recent_bags.pop_front();
-      });
+  return false;
 }
 
 void TemporalMatcher::RebuildDerivedState() {
@@ -1078,7 +875,7 @@ void TemporalMatcher::RebuildDerivedState() {
   hist_total_cache_.clear();
   hist_total_stamp_.clear();
   step_serial_ = 0;
-  if (!config_.use_flat_kernels || !config_.enable_retrieval_index) return;
+  if (!WantsIndex()) return;
   const size_t window =
       static_cast<size_t>(std::max(config_.rear_view_window, 1));
   index_ = std::make_unique<retrieval::CandidateIndex>(window);

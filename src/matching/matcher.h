@@ -12,9 +12,7 @@
 #include "matching/interface.h"
 #include "obs/provenance.h"
 #include "retrieval/candidate_index.h"
-#include "sim/minhash.h"
 #include "sim/similarity.h"
-#include "text/bag_of_words.h"
 #include "text/flat_bag.h"
 #include "text/token_pool.h"
 
@@ -62,26 +60,8 @@ struct MatcherConfig {
   bool enable_stage3 = true;
   /// Lifetime tie-breaker (prefer objects with longer histories).
   bool enable_lifetime_tiebreak = true;
-  /// Interned-token similarity engine: tokens are interned into a
-  /// per-matcher TokenPool, bags are compiled to sorted FlatBags, and
-  /// similarities run as merge-joins with a weighted-total upper-bound
-  /// prune. Exact — produces the same identity graph as the legacy
-  /// string-hash path, which is kept (flag off) as the reference
-  /// implementation for the equivalence test.
-  bool use_flat_kernels = true;
-  /// Optional MinHash/LSH candidate blocking for the non-local stages
-  /// (2 and 3), engaged only when |tracked| * |incoming| exceeds
-  /// lsh_min_pair_count. APPROXIMATE: pairs that share no LSH band are
-  /// never compared, which can drop low-similarity matches — see
-  /// DESIGN.md ("Similarity kernel & blocking") for when this is safe.
-  /// Off by default; below the pair threshold the matcher always falls
-  /// back to the exact all-pairs path. Flat engine only.
-  bool enable_lsh_blocking = false;
-  size_t lsh_min_pair_count = 4096;
-  int lsh_bands = 16;
-  int lsh_rows = 4;
-  /// Intra-step parallelism (flat engine, only with an Executor attached
-  /// via SetExecutor): when a stage's candidate-pair count reaches
+  /// Intra-step parallelism (only with an Executor attached via
+  /// SetExecutor): when a stage's candidate-pair count reaches
   /// parallel_min_pairs, the stage similarity matrix is filled with
   /// Executor::ParallelFor before the (always sequential) assignment
   /// solve. Exact — identity graphs and MatchStats counters are
@@ -89,26 +69,6 @@ struct MatcherConfig {
   /// and deliberately excluded from the snapshot config fingerprint.
   bool enable_parallel_stages = true;
   size_t parallel_min_pairs = 4096;
-  /// Inverted-index candidate retrieval (flat engine): each incoming
-  /// instance retrieves the tracked objects it shares tokens with from
-  /// an incremental inverted index (WAND-style early termination, see
-  /// src/retrieval/), instead of every stage sweeping all tracked
-  /// objects. Exact — candidates are filtered with sound upper bounds,
-  /// so identity graphs, stage counts and new-object counts are
-  /// byte-identical to the sweep; only work-rate counters
-  /// (similarities_computed, pairs_pruned/blocked) differ. Perf-only,
-  /// hence excluded from the snapshot config fingerprint like the
-  /// parallel knobs; the index itself is rebuilt from the rear-view
-  /// windows on snapshot restore rather than serialized.
-  bool enable_retrieval_index = true;
-  /// Structural-skeleton pre-filter (both engines): skip candidate pairs
-  /// whose shape signatures (object type + log-bucketed row count / row
-  /// width / schema size, src/retrieval/shape.h) differ, before any
-  /// bag-of-words scoring. APPROXIMATE: an object that changes shape
-  /// between revisions can lose its match (split identity), so this is
-  /// off by default and participates in the snapshot config fingerprint
-  /// like the LSH knobs.
-  bool enable_shape_prefilter = false;
   /// Bag-of-words construction options.
   extract::FeatureOptions features;
 };
@@ -131,11 +91,6 @@ struct MatchStats {
   /// Pairs skipped because the weighted-total upper bound proved the
   /// decayed similarity below the stage threshold (no merge-join run).
   size_t pairs_pruned = 0;
-  /// Pairs never compared because LSH blocking filtered them.
-  size_t pairs_blocked = 0;
-  /// Pairs never compared because the structural-skeleton pre-filter
-  /// (enable_shape_prefilter) rejected them.
-  size_t pairs_shape_filtered = 0;
 };
 
 /// Matches the object instances of one object type on one page across its
@@ -177,6 +132,17 @@ class TemporalMatcher : public RevisionMatcher {
   IdentityGraph TakeGraph() { return std::move(graph_); }
   MatchStats TakeStats() { return std::exchange(stats_, MatchStats{}); }
 
+  /// Tracked-object count from which candidates come from the retrieval
+  /// index instead of a sweep over every tracked object. Both generators
+  /// are exact (same graphs, stage and new-object counts); only the work
+  /// differs. The index costs a per-step walk and upkeep that a sweep of
+  /// a few dozen objects undercuts; measured crossover in DESIGN.md §12.
+  /// Tracked objects are never dropped, so the switch is one-way.
+  static constexpr size_t kIndexMinTracked = 64;
+
+  /// True once this matcher generates candidates from the retrieval index.
+  bool has_retrieval_index() const { return index_ != nullptr; }
+
   /// Appends every violated matcher invariant to `report` (config
   /// threshold ordering, graph linearity, tracked-table/graph agreement,
   /// rear-view depth <= k). Debug builds run this automatically at every
@@ -188,12 +154,18 @@ class TemporalMatcher : public RevisionMatcher {
   // (pool, tracked windows, graph, stats) for checkpointed ingestion.
   friend class somr::state::MatcherSerde;
 
+  // Tests and benches pin the candidate generator through this peer
+  // (tests/matching/matcher_test_peer.h); production never does.
+  friend class TemporalMatcherTestPeer;
+
+  /// Which exact candidate generator a step runs. kBySize is the only
+  /// production value: sweep below kIndexMinTracked tracked objects, the
+  /// retrieval index from there on.
+  enum class CandidateGen : uint8_t { kBySize, kSweep, kIndex };
+
   struct Tracked {
     int64_t id = 0;
-    std::deque<BagOfWords> recent_bags;  // legacy engine: oldest..newest
-    std::deque<FlatBag> recent_flat;     // flat engine: oldest..newest
-    sim::MinHashSignature newest_sig;    // only kept for LSH blocking
-    uint64_t newest_shape = 0;           // shape signature, newest version
+    std::deque<FlatBag> recent_flat;  // rear-view window: oldest..newest
     int last_position = 0;
     int first_revision = 0;
     int last_revision = 0;
@@ -211,9 +183,6 @@ class TemporalMatcher : public RevisionMatcher {
   };
 
   void ProcessRevisionFlat(
-      int revision_index,
-      const std::vector<extract::ObjectInstance>& instances);
-  void ProcessRevisionLegacy(
       int revision_index,
       const std::vector<extract::ObjectInstance>& instances);
 
@@ -253,17 +222,17 @@ class TemporalMatcher : public RevisionMatcher {
       const std::vector<uint32_t>& considered_per_ni,
       AppendFn&& append_bag);
 
+  /// True when the next step should generate candidates from the
+  /// retrieval index (see CandidateGen).
+  bool WantsIndex() const;
+
   /// Rebuilds everything derivable from the core state (tracked windows,
   /// pool, config): the retrieval index and the incremental IOF document
-  /// frequencies. Called lazily before the first indexed step and by the
-  /// snapshot loader after restoring the core state — an index rebuilt
-  /// here retrieves identically to one maintained incrementally, which
-  /// is why snapshots don't serialize it.
+  /// frequencies, when WantsIndex(); otherwise drops them. Called before
+  /// the first indexed step and by the snapshot loader after restoring
+  /// the core state — an index rebuilt here retrieves identically to one
+  /// maintained incrementally, which is why snapshots don't serialize it.
   void RebuildDerivedState();
-
-  double DecayedSim(sim::SimilarityKind kind, const Tracked& tracked,
-                    const BagOfWords& candidate,
-                    const sim::TokenWeighting& weighting);
 
   /// Tie-break perturbation added to a similarity score; strictly smaller
   /// than any meaningful similarity difference. The position and
@@ -286,11 +255,11 @@ class TemporalMatcher : public RevisionMatcher {
   // a restored matcher conservatively assumes well-formed history.
   bool input_positions_unique_ = true;
   std::vector<Tracked> tracked_;
-  TokenPool pool_;                   // flat engine: page-lifetime interning
-  sim::DenseTokenWeights weights_;   // flat engine: per-step IDF weights
-  /// Inverted index over the rear-view windows (flat engine, created
-  /// lazily when enable_retrieval_index; never serialized — see
-  /// RebuildDerivedState).
+  TokenPool pool_;                  // page-lifetime token interning
+  sim::DenseTokenWeights weights_;  // per-step IDF weights
+  CandidateGen candidate_gen_ = CandidateGen::kBySize;
+  /// Inverted index over the rear-view windows, built once WantsIndex()
+  /// holds; never serialized — see RebuildDerivedState.
   std::unique_ptr<retrieval::CandidateIndex> index_;
   /// Lazy per-(tracked, window-slot) weighted totals for the indexed
   /// path, stamped per step so only retrieval candidates pay for them

@@ -1,6 +1,5 @@
 #include "matching/validate.h"
 
-#include <algorithm>
 #include <deque>
 #include <map>
 #include <set>
@@ -174,11 +173,10 @@ void TemporalMatcher::Validate(ValidationReport* report) const {
       report->AddIssue("matching")
           << "tracked entry " << i << " carries id " << t.id;
     }
-    if (t.recent_bags.size() > window || t.recent_flat.size() > window) {
+    if (t.recent_flat.size() > window) {
       report->AddIssue("matching")
           << "object " << t.id << " rear-view depth "
-          << std::max(t.recent_bags.size(), t.recent_flat.size())
-          << " exceeds window k=" << window;
+          << t.recent_flat.size() << " exceeds window k=" << window;
     }
     const std::vector<TrackedObjectRecord>& objects = graph_.objects();
     if (i < objects.size() && !objects[i].versions.empty()) {

@@ -336,21 +336,4 @@ double WeightedContainment(const FlatBag& a, const FlatBag& b,
                               WeightedTotal(b, weights));
 }
 
-double DecayedSimilarity(SimilarityKind kind,
-                         const std::vector<const BagOfWords*>& history,
-                         const BagOfWords& candidate, int k, double phi,
-                         const TokenWeighting& weighting) {
-  if (history.empty() || k <= 0) return 0.0;
-  double best = 0.0;
-  double decay = 1.0;
-  int considered = 0;
-  for (auto it = history.rbegin();
-       it != history.rend() && considered < k; ++it, ++considered) {
-    double s = decay * Similarity(kind, **it, candidate, weighting);
-    best = std::max(best, s);
-    decay *= phi;
-  }
-  return best;
-}
-
 }  // namespace somr::sim

@@ -125,15 +125,6 @@ enum class SimilarityKind {
 double Similarity(SimilarityKind kind, const BagOfWords& a,
                   const BagOfWords& b, const TokenWeighting& weighting);
 
-/// The "rear-view mirror" similarity sim_{k,phi} (Sec. IV-A2): the maximum
-/// over the last k non-empty versions of the object of
-/// phi^i * sim(version_{n-i}, candidate). `history` is ordered oldest to
-/// newest.
-double DecayedSimilarity(SimilarityKind kind,
-                         const std::vector<const BagOfWords*>& history,
-                         const BagOfWords& candidate, int k, double phi,
-                         const TokenWeighting& weighting);
-
 // --- Interned-token kernels ---------------------------------------------
 //
 // FlatBag counterparts of the measures above: sorted merge-joins over

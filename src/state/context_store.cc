@@ -62,7 +62,10 @@ const SnapshotMetrics& GetSnapshotMetrics() {
 }
 
 constexpr const char* kManifestName = "manifest.tsv";
-constexpr const char* kManifestHeader = "# somr-context-store v2";
+// v3 manifests front stores whose records are snapshot format v4; a v2
+// manifest fronts format-v3 records, which this build cannot load.
+constexpr const char* kManifestHeader = "# somr-context-store v3";
+constexpr const char* kManifestHeaderV2 = "# somr-context-store v2";
 constexpr const char* kManifestHeaderV1 = "# somr-context-store v1";
 
 }  // namespace
@@ -119,11 +122,17 @@ Status ContextStore::Open(bool create) {
         "layout, which predates the record log; re-ingest its dumps "
         "into a fresh store to migrate (see DESIGN.md §15)");
   }
+  if (line.rfind(kManifestHeaderV2, 0) == 0) {
+    return Status::InvalidArgument(
+        "context store at " + dir_ + " holds snapshot format v3 records, "
+        "which carry matcher state this build no longer keeps; re-ingest "
+        "its dumps into a fresh store to migrate (see DESIGN.md §15)");
+  }
   if (line.rfind(kManifestHeader, 0) != 0) {
     return Status::ParseError(manifest_path + ": not a context-store "
                               "manifest");
   }
-  // Header carries the fingerprint: "# somr-context-store v2 config=<hex>".
+  // Header carries the fingerprint: "# somr-context-store v3 config=<hex>".
   const std::string marker = "config=";
   size_t at = line.find(marker);
   if (at == std::string::npos) {

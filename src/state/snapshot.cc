@@ -15,13 +15,19 @@ namespace {
 
 constexpr char kMagic[8] = {'S', 'O', 'M', 'R', 'S', 'N', 'A', 'P'};
 constexpr char kDeltaMagic[8] = {'S', 'O', 'M', 'R', 'D', 'E', 'L', 'T'};
-// v2: tracked objects carry their newest-version shape signature and
-// MatchStats carries pairs_shape_filtered (PR 6).
+// Format history (kSnapshotFormatVersion is the current one):
+// v2: tracked objects carry a structural signature of their newest
+// version, and the match stats one more filter counter.
 // v3: record-log era — full snapshots are unchanged on the wire, but a
 // sibling "SOMRDELT" container (same section framing) can now follow a
 // full record in a context chain, so v2 readers must not load v3
-// stores. v2 stores migrate by re-ingesting (see DESIGN.md §15).
-constexpr uint32_t kFormatVersion = 3;
+// stores.
+// v4: one matching engine — tracked objects drop the string-bag window
+// and the two approximate-filter signatures, and the match stats drop
+// both filter counters. Older stores migrate by re-ingesting (see
+// DESIGN.md §15).
+constexpr const char* kReingestHint =
+    " (re-ingest the page's dump to migrate; see DESIGN.md §15)";
 
 // Section tags. Unknown tags are skipped on load (additive evolution
 // within one format version); missing required sections are an error.
@@ -82,34 +88,6 @@ Status ReadInstance(ByteReader& r, extract::ObjectInstance* obj) {
   return ReadStringVec(r, &obj->schema);
 }
 
-void AppendBag(const BagOfWords& bag, ByteWriter& w) {
-  // Sorted entries: the on-disk bytes are independent of the source
-  // map's hash order, so identical bags produce identical snapshots.
-  std::vector<std::pair<std::string, double>> entries = bag.SortedEntries();
-  w.U64(entries.size());
-  for (const auto& [token, count] : entries) {
-    w.Str(token);
-    w.F64(count);
-  }
-}
-
-Status ReadBag(ByteReader& r, BagOfWords* bag) {
-  uint64_t count = 0;
-  SOMR_RETURN_IF_ERROR(r.Count(&count, 16));
-  *bag = BagOfWords();
-  for (uint64_t i = 0; i < count; ++i) {
-    std::string token;
-    double weight = 0.0;
-    SOMR_RETURN_IF_ERROR(r.Str(&token));
-    SOMR_RETURN_IF_ERROR(r.F64(&weight));
-    if (!(weight > 0.0)) {
-      return Status::ParseError("snapshot corrupt: non-positive bag count");
-    }
-    bag->Add(token, weight);
-  }
-  return Status::OK();
-}
-
 void AppendFlatBag(const FlatBag& bag, ByteWriter& w) {
   w.U64(bag.entries().size());
   for (const FlatEntry& e : bag.entries()) {
@@ -150,31 +128,25 @@ void AppendStats(const matching::MatchStats& stats, ByteWriter& w) {
   w.U64(stats.stage3_matches);
   w.U64(stats.new_objects);
   w.U64(stats.pairs_pruned);
-  w.U64(stats.pairs_blocked);
-  w.U64(stats.pairs_shape_filtered);
   w.U64(stats.step_millis.size());
   for (double ms : stats.step_millis) w.F64(ms);
 }
 
 Status ReadStats(ByteReader& r, matching::MatchStats* stats) {
   uint64_t similarities = 0, s1 = 0, s2 = 0, s3 = 0;
-  uint64_t new_objects = 0, pruned = 0, blocked = 0, shape_filtered = 0;
+  uint64_t new_objects = 0, pruned = 0;
   SOMR_RETURN_IF_ERROR(r.U64(&similarities));
   SOMR_RETURN_IF_ERROR(r.U64(&s1));
   SOMR_RETURN_IF_ERROR(r.U64(&s2));
   SOMR_RETURN_IF_ERROR(r.U64(&s3));
   SOMR_RETURN_IF_ERROR(r.U64(&new_objects));
   SOMR_RETURN_IF_ERROR(r.U64(&pruned));
-  SOMR_RETURN_IF_ERROR(r.U64(&blocked));
-  SOMR_RETURN_IF_ERROR(r.U64(&shape_filtered));
   stats->similarities_computed = similarities;
   stats->stage1_matches = s1;
   stats->stage2_matches = s2;
   stats->stage3_matches = s3;
   stats->new_objects = new_objects;
   stats->pairs_pruned = pruned;
-  stats->pairs_blocked = blocked;
-  stats->pairs_shape_filtered = shape_filtered;
   uint64_t steps = 0;
   SOMR_RETURN_IF_ERROR(r.Count(&steps, 8));
   stats->step_millis.clear();
@@ -245,13 +217,8 @@ class MatcherSerde {
     w.U32(static_cast<uint32_t>(t.last_position));
     w.U32(static_cast<uint32_t>(t.first_revision));
     w.U32(static_cast<uint32_t>(t.last_revision));
-    w.U64(t.newest_shape);
     w.U64(t.recent_flat.size());
     for (const FlatBag& bag : t.recent_flat) AppendFlatBag(bag, w);
-    w.U64(t.recent_bags.size());
-    for (const BagOfWords& bag : t.recent_bags) AppendBag(bag, w);
-    w.U64(t.newest_sig.size());
-    for (uint64_t h : t.newest_sig) w.U64(h);
   }
 
   static Status ReadTrackedPayload(ByteReader& r, uint64_t pool_size,
@@ -263,7 +230,6 @@ class MatcherSerde {
     t->last_position = static_cast<int>(last_position);
     t->first_revision = static_cast<int>(first_revision);
     t->last_revision = static_cast<int>(last_revision);
-    SOMR_RETURN_IF_ERROR(r.U64(&t->newest_shape));
 
     uint64_t flat_count = 0;
     SOMR_RETURN_IF_ERROR(r.Count(&flat_count, 8));
@@ -278,25 +244,6 @@ class MatcherSerde {
         }
       }
       t->recent_flat.push_back(std::move(bag));
-    }
-
-    uint64_t bag_count = 0;
-    SOMR_RETURN_IF_ERROR(r.Count(&bag_count, 8));
-    t->recent_bags.clear();
-    for (uint64_t b = 0; b < bag_count; ++b) {
-      BagOfWords bag;
-      SOMR_RETURN_IF_ERROR(ReadBag(r, &bag));
-      t->recent_bags.push_back(std::move(bag));
-    }
-
-    uint64_t sig_size = 0;
-    SOMR_RETURN_IF_ERROR(r.Count(&sig_size, 8));
-    t->newest_sig.clear();
-    t->newest_sig.reserve(static_cast<size_t>(sig_size));
-    for (uint64_t s = 0; s < sig_size; ++s) {
-      uint64_t h = 0;
-      SOMR_RETURN_IF_ERROR(r.U64(&h));
-      t->newest_sig.push_back(h);
     }
     return Status::OK();
   }
@@ -313,7 +260,6 @@ class MatcherSerde {
     w.U32(static_cast<uint32_t>(t.last_position));
     w.U32(static_cast<uint32_t>(t.first_revision));
     w.U32(static_cast<uint32_t>(t.last_revision));
-    w.U64(t.newest_shape);
 
     const uint64_t flat_sent =
         std::min<uint64_t>(tail_count, t.recent_flat.size());
@@ -323,18 +269,6 @@ class MatcherSerde {
          i < t.recent_flat.size(); ++i) {
       AppendFlatBag(t.recent_flat[i], w);
     }
-
-    const uint64_t bag_sent =
-        std::min<uint64_t>(tail_count, t.recent_bags.size());
-    w.U64(t.recent_bags.size());
-    w.U64(bag_sent);
-    for (size_t i = t.recent_bags.size() - static_cast<size_t>(bag_sent);
-         i < t.recent_bags.size(); ++i) {
-      AppendBag(t.recent_bags[i], w);
-    }
-
-    w.U64(t.newest_sig.size());
-    for (uint64_t h : t.newest_sig) w.U64(h);
   }
 
   static Status ReadTrackedPayloadTail(
@@ -347,7 +281,6 @@ class MatcherSerde {
     t->last_position = static_cast<int>(last_position);
     t->first_revision = static_cast<int>(first_revision);
     t->last_revision = static_cast<int>(last_revision);
-    SOMR_RETURN_IF_ERROR(r.U64(&t->newest_shape));
 
     uint64_t flat_final = 0, flat_sent = 0;
     SOMR_RETURN_IF_ERROR(r.U64(&flat_final));
@@ -371,33 +304,6 @@ class MatcherSerde {
       t->recent_flat.push_back(std::move(bag));
     }
     while (t->recent_flat.size() > flat_final) t->recent_flat.pop_front();
-
-    uint64_t bag_final = 0, bag_sent = 0;
-    SOMR_RETURN_IF_ERROR(r.U64(&bag_final));
-    SOMR_RETURN_IF_ERROR(r.Count(&bag_sent, 8));
-    if (bag_sent != std::min(tail_count, bag_final)) {
-      return Status::ParseError("delta corrupt: bag window tail count");
-    }
-    if (t->recent_bags.size() + bag_sent < bag_final) {
-      return Status::ParseError(
-          "delta corrupt: bag window longer than base plus its tail");
-    }
-    for (uint64_t b = 0; b < bag_sent; ++b) {
-      BagOfWords bag;
-      SOMR_RETURN_IF_ERROR(ReadBag(r, &bag));
-      t->recent_bags.push_back(std::move(bag));
-    }
-    while (t->recent_bags.size() > bag_final) t->recent_bags.pop_front();
-
-    uint64_t sig_size = 0;
-    SOMR_RETURN_IF_ERROR(r.Count(&sig_size, 8));
-    t->newest_sig.clear();
-    t->newest_sig.reserve(static_cast<size_t>(sig_size));
-    for (uint64_t s = 0; s < sig_size; ++s) {
-      uint64_t h = 0;
-      SOMR_RETURN_IF_ERROR(r.U64(&h));
-      t->newest_sig.push_back(h);
-    }
     return Status::OK();
   }
 
@@ -471,8 +377,6 @@ class MatcherSerde {
     w.U64(m.stats_.stage3_matches);
     w.U64(m.stats_.new_objects);
     w.U64(m.stats_.pairs_pruned);
-    w.U64(m.stats_.pairs_blocked);
-    w.U64(m.stats_.pairs_shape_filtered);
     w.U64(m.stats_.step_millis.size() - base.step_count);
     for (size_t i = static_cast<size_t>(base.step_count);
          i < m.stats_.step_millis.size(); ++i) {
@@ -578,7 +482,7 @@ class MatcherSerde {
       }
     }
 
-    uint64_t scalars[8] = {};
+    uint64_t scalars[6] = {};
     for (uint64_t& v : scalars) SOMR_RETURN_IF_ERROR(r.U64(&v));
     m.stats_.similarities_computed = scalars[0];
     m.stats_.stage1_matches = scalars[1];
@@ -586,8 +490,6 @@ class MatcherSerde {
     m.stats_.stage3_matches = scalars[3];
     m.stats_.new_objects = scalars[4];
     m.stats_.pairs_pruned = scalars[5];
-    m.stats_.pairs_blocked = scalars[6];
-    m.stats_.pairs_shape_filtered = scalars[7];
     uint64_t step_tail = 0;
     SOMR_RETURN_IF_ERROR(r.Count(&step_tail, 8));
     for (uint64_t i = 0; i < step_tail; ++i) {
@@ -623,16 +525,7 @@ class MatcherSerde {
     w.U64(m.tracked_.size());
     for (const auto& t : m.tracked_) {
       w.I64(t.id);
-      w.U32(static_cast<uint32_t>(t.last_position));
-      w.U32(static_cast<uint32_t>(t.first_revision));
-      w.U32(static_cast<uint32_t>(t.last_revision));
-      w.U64(t.newest_shape);
-      w.U64(t.recent_flat.size());
-      for (const FlatBag& bag : t.recent_flat) AppendFlatBag(bag, w);
-      w.U64(t.recent_bags.size());
-      for (const BagOfWords& bag : t.recent_bags) AppendBag(bag, w);
-      w.U64(t.newest_sig.size());
-      for (uint64_t h : t.newest_sig) w.U64(h);
+      AppendTrackedPayload(t, w);
     }
 
     AppendStats(m.stats_, w);
@@ -691,7 +584,7 @@ class MatcherSerde {
 
     m.tracked_.clear();
     uint64_t tracked_count = 0;
-    SOMR_RETURN_IF_ERROR(r.Count(&tracked_count, 52));
+    SOMR_RETURN_IF_ERROR(r.Count(&tracked_count, 28));
     if (tracked_count != object_count) {
       return Status::ParseError(
           "snapshot corrupt: tracked count != identity graph objects");
@@ -704,46 +597,7 @@ class MatcherSerde {
         return Status::ParseError(
             "snapshot corrupt: tracked id out of order");
       }
-      uint32_t last_position = 0, first_revision = 0, last_revision = 0;
-      SOMR_RETURN_IF_ERROR(r.U32(&last_position));
-      SOMR_RETURN_IF_ERROR(r.U32(&first_revision));
-      SOMR_RETURN_IF_ERROR(r.U32(&last_revision));
-      t.last_position = static_cast<int>(last_position);
-      t.first_revision = static_cast<int>(first_revision);
-      t.last_revision = static_cast<int>(last_revision);
-      SOMR_RETURN_IF_ERROR(r.U64(&t.newest_shape));
-
-      uint64_t flat_count = 0;
-      SOMR_RETURN_IF_ERROR(r.Count(&flat_count, 8));
-      for (uint64_t b = 0; b < flat_count; ++b) {
-        FlatBag bag;
-        SOMR_RETURN_IF_ERROR(ReadFlatBag(r, &bag));
-        for (const FlatEntry& e : bag.entries()) {
-          if (e.id >= m.pool_.size()) {
-            return Status::ParseError(
-                "snapshot corrupt: flat bag id outside token pool");
-          }
-        }
-        t.recent_flat.push_back(std::move(bag));
-      }
-
-      uint64_t bag_count = 0;
-      SOMR_RETURN_IF_ERROR(r.Count(&bag_count, 8));
-      for (uint64_t b = 0; b < bag_count; ++b) {
-        BagOfWords bag;
-        SOMR_RETURN_IF_ERROR(ReadBag(r, &bag));
-        t.recent_bags.push_back(std::move(bag));
-      }
-
-      uint64_t sig_size = 0;
-      SOMR_RETURN_IF_ERROR(r.Count(&sig_size, 8));
-      t.newest_sig.reserve(static_cast<size_t>(sig_size));
-      for (uint64_t s = 0; s < sig_size; ++s) {
-        uint64_t h = 0;
-        SOMR_RETURN_IF_ERROR(r.U64(&h));
-        t.newest_sig.push_back(h);
-      }
-
+      SOMR_RETURN_IF_ERROR(ReadTrackedPayload(r, m.pool_.size(), &t));
       m.tracked_.push_back(std::move(t));
     }
 
@@ -751,7 +605,8 @@ class MatcherSerde {
     SOMR_RETURN_IF_ERROR(ReadStats(r, &m.stats_));
     // Derived structures (retrieval index, incremental IOF document
     // frequencies) are never serialized: rebuild them from the restored
-    // windows — the rebuilt index retrieves identically by construction.
+    // windows under the matcher's own size rule — the rebuilt index
+    // retrieves identically by construction.
     m.RebuildDerivedState();
     return Status::OK();
   }
@@ -759,10 +614,9 @@ class MatcherSerde {
 
 uint64_t ConfigFingerprint(const matching::MatcherConfig& config) {
   ByteWriter w;
-  // v2: enable_shape_prefilter joined the fingerprint (approximate knob,
-  // like LSH). enable_retrieval_index stays out — it is exact/perf-only,
-  // like the parallel knobs.
-  w.Str("somr-matcher-config-v2");
+  // v3: the engine, LSH and shape-filter knobs are gone. The parallel
+  // knobs stay out — they are exact/perf-only.
+  w.Str("somr-matcher-config-v3");
   w.I64(config.theta_pos);
   w.F64(config.theta1);
   w.F64(config.theta2);
@@ -775,12 +629,6 @@ uint64_t ConfigFingerprint(const matching::MatcherConfig& config) {
   w.U8(config.enable_stage2);
   w.U8(config.enable_stage3);
   w.U8(config.enable_lifetime_tiebreak);
-  w.U8(config.use_flat_kernels);
-  w.U8(config.enable_lsh_blocking);
-  w.U64(config.lsh_min_pair_count);
-  w.I64(config.lsh_bands);
-  w.I64(config.lsh_rows);
-  w.U8(config.enable_shape_prefilter);
   w.U64(config.features.element_token_limit);
   w.U8(config.features.include_section_headers);
   w.U8(config.features.include_caption);
@@ -816,7 +664,7 @@ Status SavePageSnapshot(const PageState& state, std::ostream& out) {
 
   ByteWriter header;
   for (char c : kMagic) header.U8(static_cast<uint8_t>(c));
-  header.U32(kFormatVersion);
+  header.U32(kSnapshotFormatVersion);
   header.U64(ConfigFingerprint(state.matcher.config()));
   header.U32(3);  // section count
 
@@ -918,9 +766,9 @@ Status LoadPageSnapshot(std::istream& in,
   }
   uint32_t version = 0;
   SOMR_RETURN_IF_ERROR(r.U32(&version));
-  if (version != kFormatVersion) {
+  if (version != kSnapshotFormatVersion) {
     return Status::ParseError("unsupported snapshot format version " +
-                              std::to_string(version));
+                              std::to_string(version) + kReingestHint);
   }
   uint64_t fingerprint = 0;
   SOMR_RETURN_IF_ERROR(r.U64(&fingerprint));
@@ -1038,7 +886,7 @@ Status SavePageDelta(const PageState& state, const SnapshotWatermark& base,
 
   ByteWriter header;
   for (char c : kDeltaMagic) header.U8(static_cast<uint8_t>(c));
-  header.U32(kFormatVersion);
+  header.U32(kSnapshotFormatVersion);
   header.U64(ConfigFingerprint(state.matcher.config()));
   header.U32(3);  // section count
 
@@ -1125,9 +973,9 @@ Status ApplyPageDelta(std::istream& in,
   }
   uint32_t version = 0;
   SOMR_RETURN_IF_ERROR(r.U32(&version));
-  if (version != kFormatVersion) {
+  if (version != kSnapshotFormatVersion) {
     return Status::ParseError("unsupported delta format version " +
-                              std::to_string(version));
+                              std::to_string(version) + kReingestHint);
   }
   uint64_t fingerprint = 0;
   SOMR_RETURN_IF_ERROR(r.U64(&fingerprint));

@@ -40,6 +40,10 @@ struct PageState {
   std::vector<UnixSeconds> timestamps;
 };
 
+/// Current on-disk version of full snapshots and delta records (history
+/// and migration notes in snapshot.cc and DESIGN.md §15).
+inline constexpr uint32_t kSnapshotFormatVersion = 4;
+
 /// Stable 64-bit fingerprint of every matching-relevant config field.
 /// Snapshots written under one fingerprint refuse to load under another:
 /// resuming a stream with different thresholds/windows would silently

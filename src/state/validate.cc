@@ -13,7 +13,6 @@ namespace {
 
 constexpr char kMagic[8] = {'S', 'O', 'M', 'R', 'S', 'N', 'A', 'P'};
 constexpr char kDeltaMagic[8] = {'S', 'O', 'M', 'R', 'D', 'E', 'L', 'T'};
-constexpr uint32_t kFormatVersion = 3;  // keep in sync with snapshot.cc
 
 }  // namespace
 
@@ -42,10 +41,10 @@ void ValidateSnapshotBytes(std::string_view bytes,
     report->AddIssue("snapshot") << "truncated before format version";
     return;
   }
-  if (version != kFormatVersion) {
+  if (version != kSnapshotFormatVersion) {
     report->AddIssue("snapshot")
         << "unsupported format version " << version << " (expected "
-        << kFormatVersion << ")";
+        << kSnapshotFormatVersion << ")";
     return;
   }
   uint64_t fingerprint = 0;

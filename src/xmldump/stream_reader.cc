@@ -8,6 +8,7 @@ namespace {
 constexpr size_t kChunkSize = 1 << 16;
 constexpr const char* kPageOpen = "<page>";
 constexpr const char* kPageClose = "</page>";
+constexpr const char* kRootOpen = "<mediawiki";
 }  // namespace
 
 size_t PageStreamReader::FindMarker(const std::string& marker,
@@ -34,7 +35,14 @@ std::optional<PageHistory> PageStreamReader::NextPage() {
   size_t open = FindMarker(kPageOpen, 0);
   if (open == std::string::npos) {
     done_ = true;
-    return std::nullopt;  // clean EOF: no more pages
+    // Clean EOF: no more pages. A non-empty input that held no page must
+    // still be a dump, as ReadDump requires of a whole document.
+    if (pages_read_ == 0 &&
+        buffer_.find_first_not_of(" \t\r\n") != std::string::npos &&
+        buffer_.find(kRootOpen) == std::string::npos) {
+      status_ = Status::ParseError("no <mediawiki> root element");
+    }
+    return std::nullopt;
   }
   size_t close = FindMarker(kPageClose, open);
   if (close == std::string::npos) {

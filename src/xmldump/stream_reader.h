@@ -26,7 +26,8 @@ class PageStreamReader {
 
   /// Returns the next page history, or std::nullopt at end of input.
   /// Check status() after nullopt to distinguish EOF from malformed
-  /// input.
+  /// input (an unterminated page, or a non-empty input with neither a
+  /// page nor a <mediawiki> root).
   std::optional<PageHistory> NextPage();
 
   const Status& status() const { return status_; }

@@ -1,6 +1,6 @@
-// Thread-count determinism: the parallel entry points and the intra-step
+// Thread-count determinism: threaded dump streaming and the intra-step
 // matcher parallelism must produce byte-identical identity graphs and
-// change cubes at any worker count (ISSUE: --threads 1/2/8 equivalence).
+// change cubes at any worker count (--threads 1/2/8 equivalence).
 
 #include <gtest/gtest.h>
 
@@ -48,7 +48,7 @@ std::string Fingerprint(const std::vector<PageResult>& results) {
     for (const matching::MatchStats* stats :
          {&page.table_stats, &page.infobox_stats, &page.list_stats}) {
       out << "stats " << stats->similarities_computed << " "
-          << stats->pairs_pruned << " " << stats->pairs_blocked << " "
+          << stats->pairs_pruned << " "
           << stats->stage1_matches << " " << stats->stage2_matches << " "
           << stats->stage3_matches << " " << stats->new_objects << "\n";
     }
@@ -56,22 +56,30 @@ std::string Fingerprint(const std::vector<PageResult>& results) {
   return out.str();
 }
 
+// Runs the dump through ProcessDumpStream with `threads` workers.
+StatusOr<std::vector<PageResult>> Stream(const Pipeline& pipeline,
+                                         const std::string& xml,
+                                         unsigned threads = 1) {
+  std::istringstream in(xml);
+  return pipeline.ProcessDumpStream(in, threads);
+}
+
 TEST(DeterminismTest, GraphsAndCubesIdenticalAcrossThreadCounts) {
   const std::string xml = DemoXml();
   Pipeline pipeline;
-  auto sequential = pipeline.ProcessDumpXml(xml);
+  auto sequential = Stream(pipeline, xml);
   ASSERT_TRUE(sequential.ok());
   const std::string expected = Fingerprint(*sequential);
 
   for (unsigned threads : {2u, 8u}) {
+    // A local pool of `threads` workers, then an attached one.
+    auto local = Stream(pipeline, xml, threads);
+    ASSERT_TRUE(local.ok());
+    EXPECT_EQ(Fingerprint(*local), expected) << threads << " threads";
+
     parallel::Executor pool(threads);
     Pipeline parallel_pipeline;
     parallel_pipeline.set_executor(&pool);
-
-    auto in_memory = parallel_pipeline.ProcessDumpXmlParallel(xml, threads);
-    ASSERT_TRUE(in_memory.ok());
-    EXPECT_EQ(Fingerprint(*in_memory), expected) << threads << " threads";
-
     std::istringstream stream(xml);
     auto streamed = parallel_pipeline.ProcessDumpStream(stream, threads);
     ASSERT_TRUE(streamed.ok());
@@ -89,14 +97,16 @@ TEST(DeterminismTest, IntraStepParallelismMatchesSequential) {
   config.parallel_min_pairs = 1;
 
   Pipeline sequential_pipeline(config);
-  auto sequential = sequential_pipeline.ProcessDumpXml(xml);
+  auto sequential = Stream(sequential_pipeline, xml);
   ASSERT_TRUE(sequential.ok());
 
   for (unsigned threads : {2u, 8u}) {
     parallel::Executor pool(threads);
     Pipeline parallel_pipeline(config);
     parallel_pipeline.set_executor(&pool);
-    auto parallel_results = parallel_pipeline.ProcessDumpXml(xml);
+    // Pages run as tasks on the attached pool and each matcher's stages
+    // fan out on it too.
+    auto parallel_results = Stream(parallel_pipeline, xml);
     ASSERT_TRUE(parallel_results.ok());
     EXPECT_EQ(Fingerprint(*parallel_results), Fingerprint(*sequential))
         << threads << " threads";
@@ -111,13 +121,13 @@ TEST(DeterminismTest, NestedPageAndStageParallelismIsDeterministic) {
   config.parallel_min_pairs = 1;
 
   Pipeline sequential_pipeline(config);
-  auto sequential = sequential_pipeline.ProcessDumpXml(xml);
+  auto sequential = Stream(sequential_pipeline, xml);
   ASSERT_TRUE(sequential.ok());
 
   parallel::Executor pool(4);
   Pipeline parallel_pipeline(config);
   parallel_pipeline.set_executor(&pool);
-  auto nested = parallel_pipeline.ProcessDumpXmlParallel(xml, 4);
+  auto nested = Stream(parallel_pipeline, xml, 4);
   ASSERT_TRUE(nested.ok());
   EXPECT_EQ(Fingerprint(*nested), Fingerprint(*sequential));
 }

@@ -21,11 +21,18 @@ wikigen::GoldCorpus TinyCorpus() {
   return wikigen::GenerateGoldCorpus(config);
 }
 
+StatusOr<std::vector<PageResult>> Stream(const Pipeline& pipeline,
+                                         const std::string& xml,
+                                         unsigned threads = 1) {
+  std::istringstream in(xml);
+  return pipeline.ProcessDumpStream(in, threads);
+}
+
 TEST(PipelineTest, ProcessesDumpXml) {
   wikigen::GoldCorpus corpus = TinyCorpus();
   std::string xml = xmldump::WriteDump(wikigen::CorpusToDump(corpus));
   Pipeline pipeline;
-  auto results = pipeline.ProcessDumpXml(xml);
+  auto results = Stream(pipeline, xml);
   ASSERT_TRUE(results.ok());
   ASSERT_EQ(results->size(), 2u);
   for (size_t p = 0; p < results->size(); ++p) {
@@ -55,8 +62,9 @@ TEST(PipelineTest, HighQualityAgainstTruth) {
 
 TEST(PipelineTest, BadXmlIsError) {
   Pipeline pipeline;
-  auto results = pipeline.ProcessDumpXml("<garbage/>");
-  EXPECT_FALSE(results.ok());
+  for (unsigned threads : {1u, 4u}) {
+    EXPECT_FALSE(Stream(pipeline, "<garbage/>", threads).ok()) << threads;
+  }
 }
 
 TEST(PipelineTest, GraphForSelectsType) {
@@ -82,8 +90,8 @@ TEST(PipelineTest, ParallelMatchesSequential) {
   wikigen::GoldCorpus corpus = TinyCorpus();
   std::string xml = xmldump::WriteDump(wikigen::CorpusToDump(corpus));
   Pipeline pipeline;
-  auto sequential = pipeline.ProcessDumpXml(xml);
-  auto parallel = pipeline.ProcessDumpXmlParallel(xml, 4);
+  auto sequential = Stream(pipeline, xml);
+  auto parallel = Stream(pipeline, xml, 4);
   ASSERT_TRUE(sequential.ok());
   ASSERT_TRUE(parallel.ok());
   ASSERT_EQ(sequential->size(), parallel->size());
@@ -102,7 +110,7 @@ TEST(PipelineTest, ParallelWithOneThreadIsSequential) {
   wikigen::GoldCorpus corpus = TinyCorpus();
   std::string xml = xmldump::WriteDump(wikigen::CorpusToDump(corpus));
   Pipeline pipeline;
-  auto result = pipeline.ProcessDumpXmlParallel(xml, 1);
+  auto result = Stream(pipeline, xml, 1);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), corpus.pages.size());
 }
@@ -112,8 +120,8 @@ TEST(PipelineTest, ParallelMoreThreadsThanPages) {
   wikigen::GoldCorpus corpus = TinyCorpus();  // 2 pages
   std::string xml = xmldump::WriteDump(wikigen::CorpusToDump(corpus));
   Pipeline pipeline;
-  auto sequential = pipeline.ProcessDumpXml(xml);
-  auto parallel = pipeline.ProcessDumpXmlParallel(xml, 16);
+  auto sequential = Stream(pipeline, xml);
+  auto parallel = Stream(pipeline, xml, 16);
   ASSERT_TRUE(sequential.ok());
   ASSERT_TRUE(parallel.ok());
   ASSERT_EQ(parallel->size(), corpus.pages.size());
@@ -124,46 +132,14 @@ TEST(PipelineTest, ParallelMoreThreadsThanPages) {
   }
 }
 
-TEST(PipelineTest, EmptyDumpYieldsNoPages) {
-  Pipeline pipeline;
-  const std::string xml = "<mediawiki><siteinfo/></mediawiki>";
-  auto sequential = pipeline.ProcessDumpXml(xml);
-  ASSERT_TRUE(sequential.ok());
-  EXPECT_TRUE(sequential->empty());
-  auto parallel = pipeline.ProcessDumpXmlParallel(xml, 4);
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_TRUE(parallel->empty());
-}
-
-TEST(PipelineTest, StreamMatchesInMemory) {
-  wikigen::GoldCorpus corpus = TinyCorpus();
-  std::string xml = xmldump::WriteDump(wikigen::CorpusToDump(corpus));
-  Pipeline pipeline;
-  auto batch = pipeline.ProcessDumpXml(xml);
-  ASSERT_TRUE(batch.ok());
-  for (unsigned threads : {1u, 3u}) {
-    std::istringstream in(xml);
-    auto streamed = pipeline.ProcessDumpStream(in, threads);
-    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-    ASSERT_EQ(streamed->size(), batch->size());
-    for (size_t p = 0; p < batch->size(); ++p) {
-      EXPECT_EQ((*streamed)[p].title, (*batch)[p].title);
-      EXPECT_EQ((*streamed)[p].tables.EdgeSet(),
-                (*batch)[p].tables.EdgeSet());
-      EXPECT_EQ((*streamed)[p].infoboxes.EdgeSet(),
-                (*batch)[p].infoboxes.EdgeSet());
-      EXPECT_EQ((*streamed)[p].lists.EdgeSet(),
-                (*batch)[p].lists.EdgeSet());
-    }
-  }
-}
-
 TEST(PipelineTest, StreamEmptyDump) {
   Pipeline pipeline;
-  std::istringstream in("<mediawiki><siteinfo/></mediawiki>");
-  auto results = pipeline.ProcessDumpStream(in, 4);
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
-  EXPECT_TRUE(results->empty());
+  for (unsigned threads : {1u, 4u}) {
+    auto results =
+        Stream(pipeline, "<mediawiki><siteinfo/></mediawiki>", threads);
+    ASSERT_TRUE(results.ok()) << results.status().ToString();
+    EXPECT_TRUE(results->empty());
+  }
 }
 
 TEST(PipelineTest, TimestampsCarriedThrough) {

@@ -1,7 +1,8 @@
-// Golden equivalence of the interned-token (FlatBag) similarity engine
-// against the legacy string-hash path: the kernels must agree value for
-// value, and the full matcher must emit the identical identity graph on
-// gold corpora for every focal object type.
+// Golden equivalence of the interned-token (FlatBag) matcher against the
+// string-bag reference oracle (tests/matching/reference_matcher.h): the
+// kernels must agree value for value, and the full matcher — with either
+// candidate generator — must emit the identical identity graph on gold
+// corpora for every focal object type.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,8 @@
 #include "common/rng.h"
 #include "eval/harness.h"
 #include "matching/matcher.h"
+#include "matching/matcher_test_peer.h"
+#include "matching/reference_matcher.h"
 #include "sim/similarity.h"
 #include "text/bag_of_words.h"
 #include "text/flat_bag.h"
@@ -106,27 +109,104 @@ TEST(KernelEquivalenceTest, UpperBoundIsSound) {
   }
 }
 
+BagOfWords Bag(std::initializer_list<const char*> tokens) {
+  BagOfWords bag;
+  for (const char* token : tokens) bag.Add(token);
+  return bag;
+}
+
+TEST(DecayedSimilarityTest, SingleVersionNoDecay) {
+  BagOfWords v = Bag({"x", "y"});
+  BagOfWords candidate = Bag({"x", "y"});
+  sim::TokenWeighting w;
+  EXPECT_DOUBLE_EQ(DecayedSimilarity(sim::SimilarityKind::kStrict, {&v},
+                                     candidate, 5, 0.9, w),
+                   1.0);
+}
+
+TEST(DecayedSimilarityTest, OlderMatchDecays) {
+  BagOfWords old_match = Bag({"x", "y"});
+  BagOfWords newer = Bag({"z", "w"});
+  BagOfWords candidate = Bag({"x", "y"});
+  sim::TokenWeighting w;
+  // History: old (identical) then newer (disjoint). The identical version
+  // is one step back, so its similarity is scaled by phi.
+  double s = DecayedSimilarity(sim::SimilarityKind::kStrict,
+                               {&old_match, &newer}, candidate, 5, 0.9, w);
+  EXPECT_DOUBLE_EQ(s, 0.9);
+}
+
+TEST(DecayedSimilarityTest, WindowLimitsLookback) {
+  BagOfWords match = Bag({"x"});
+  BagOfWords noise1 = Bag({"a"});
+  BagOfWords noise2 = Bag({"b"});
+  BagOfWords candidate = Bag({"x"});
+  sim::TokenWeighting w;
+  // The matching version is 2 steps back; with k = 2 only the last two
+  // versions are compared, so the match is missed.
+  double s = DecayedSimilarity(sim::SimilarityKind::kStrict,
+                               {&match, &noise1, &noise2}, candidate, 2,
+                               0.9, w);
+  EXPECT_DOUBLE_EQ(s, 0.0);
+  // With k = 3 the match is found at decay phi^2.
+  s = DecayedSimilarity(sim::SimilarityKind::kStrict,
+                        {&match, &noise1, &noise2}, candidate, 3, 0.9, w);
+  EXPECT_DOUBLE_EQ(s, 0.81);
+}
+
+TEST(DecayedSimilarityTest, PrefersRecentHighSimilarity) {
+  BagOfWords perfect_old = Bag({"x", "y"});
+  BagOfWords partial_new = Bag({"x", "z"});
+  BagOfWords candidate = Bag({"x", "y"});
+  sim::TokenWeighting w;
+  // Newest: Ruzicka(partial, candidate) = 1/3; older: 0.9 * 1.0 = 0.9.
+  double s = DecayedSimilarity(sim::SimilarityKind::kStrict,
+                               {&perfect_old, &partial_new}, candidate, 5,
+                               0.9, w);
+  EXPECT_DOUBLE_EQ(s, 0.9);
+}
+
+TEST(DecayedSimilarityTest, EmptyHistoryIsZero) {
+  BagOfWords candidate = Bag({"x"});
+  sim::TokenWeighting w;
+  EXPECT_DOUBLE_EQ(DecayedSimilarity(sim::SimilarityKind::kStrict, {},
+                                     candidate, 5, 0.9, w),
+                   0.0);
+}
+
 /// The graphs must be identical object for object, version for version.
-void ExpectSameGraph(const IdentityGraph& flat, const IdentityGraph& legacy) {
-  EXPECT_EQ(flat.type(), legacy.type());
-  ASSERT_EQ(flat.ObjectCount(), legacy.ObjectCount());
+void ExpectSameGraph(const IdentityGraph& flat,
+                     const IdentityGraph& reference) {
+  EXPECT_EQ(flat.type(), reference.type());
+  ASSERT_EQ(flat.ObjectCount(), reference.ObjectCount());
   for (size_t i = 0; i < flat.objects().size(); ++i) {
     const TrackedObjectRecord& f = flat.objects()[i];
-    const TrackedObjectRecord& l = legacy.objects()[i];
+    const TrackedObjectRecord& l = reference.objects()[i];
     EXPECT_EQ(f.object_id, l.object_id);
     EXPECT_EQ(f.type, l.type);
     EXPECT_EQ(f.versions, l.versions);
   }
 }
 
-IdentityGraph RunEngine(
+IdentityGraph RunFlat(
     const std::vector<std::vector<extract::ObjectInstance>>& revisions,
-    extract::ObjectType type, const MatcherConfig& config) {
-  TemporalMatcher matcher(type, config);
+    extract::ObjectType type, TemporalMatcherTestPeer::Generator generator) {
+  TemporalMatcher matcher(type);
+  TemporalMatcherTestPeer::Pin(matcher, generator);
   for (size_t r = 0; r < revisions.size(); ++r) {
     matcher.ProcessRevision(static_cast<int>(r), revisions[r]);
   }
   return matcher.TakeGraph();
+}
+
+IdentityGraph RunReference(
+    const std::vector<std::vector<extract::ObjectInstance>>& revisions,
+    extract::ObjectType type) {
+  ReferenceMatcher matcher(type);
+  for (size_t r = 0; r < revisions.size(); ++r) {
+    matcher.ProcessRevision(static_cast<int>(r), revisions[r]);
+  }
+  return matcher.graph();
 }
 
 wikigen::GoldCorpus SmallCorpus(extract::ObjectType focal, uint64_t seed) {
@@ -143,7 +223,7 @@ wikigen::GoldCorpus SmallCorpus(extract::ObjectType focal, uint64_t seed) {
 class MatcherEquivalenceTest
     : public ::testing::TestWithParam<extract::ObjectType> {};
 
-TEST_P(MatcherEquivalenceTest, FlatEngineMatchesLegacyOnGoldCorpus) {
+TEST_P(MatcherEquivalenceTest, MatcherMatchesReferenceOnGoldCorpus) {
   extract::ObjectType focal = GetParam();
   wikigen::GoldCorpus corpus = SmallCorpus(focal, 91);
   xmldump::Dump dump = wikigen::CorpusToDump(corpus);
@@ -154,49 +234,12 @@ TEST_P(MatcherEquivalenceTest, FlatEngineMatchesLegacyOnGoldCorpus) {
          {extract::ObjectType::kTable, extract::ObjectType::kInfobox,
           extract::ObjectType::kList}) {
       auto slices = eval::SliceType(objects, type);
-      MatcherConfig flat_config;
-      flat_config.use_flat_kernels = true;
-      MatcherConfig legacy_config;
-      legacy_config.use_flat_kernels = false;
-      ExpectSameGraph(RunEngine(slices, type, flat_config),
-                      RunEngine(slices, type, legacy_config));
+      const IdentityGraph reference = RunReference(slices, type);
+      for (auto generator : {TemporalMatcherTestPeer::Generator::kSweep,
+                             TemporalMatcherTestPeer::Generator::kIndex}) {
+        ExpectSameGraph(RunFlat(slices, type, generator), reference);
+      }
     }
-  }
-}
-
-TEST_P(MatcherEquivalenceTest, LshBelowThresholdFallsBackExactly) {
-  extract::ObjectType focal = GetParam();
-  wikigen::GoldCorpus corpus = SmallCorpus(focal, 92);
-  xmldump::Dump dump = wikigen::CorpusToDump(corpus);
-  for (const xmldump::PageHistory& page : dump.pages) {
-    std::vector<extract::PageObjects> objects =
-        eval::ExtractRevisionObjects(page);
-    auto slices = eval::SliceType(objects, focal);
-    MatcherConfig lsh_config;
-    lsh_config.enable_lsh_blocking = true;  // never engaged: threshold huge
-    lsh_config.lsh_min_pair_count = 1u << 30;
-    MatcherConfig exact_config;
-    ExpectSameGraph(RunEngine(slices, focal, lsh_config),
-                    RunEngine(slices, focal, exact_config));
-  }
-}
-
-TEST_P(MatcherEquivalenceTest, LshEngagedStillAssignsEveryInstance) {
-  extract::ObjectType focal = GetParam();
-  wikigen::GoldCorpus corpus = SmallCorpus(focal, 93);
-  xmldump::Dump dump = wikigen::CorpusToDump(corpus);
-  for (const xmldump::PageHistory& page : dump.pages) {
-    std::vector<extract::PageObjects> objects =
-        eval::ExtractRevisionObjects(page);
-    auto slices = eval::SliceType(objects, focal);
-    size_t total_instances = 0;
-    for (const auto& rev : slices) total_instances += rev.size();
-    MatcherConfig lsh_config;
-    lsh_config.enable_lsh_blocking = true;
-    lsh_config.lsh_min_pair_count = 0;  // always engaged
-    IdentityGraph graph = RunEngine(slices, focal, lsh_config);
-    // Blocking may split identities but never drops an instance.
-    EXPECT_EQ(graph.VersionCount(), total_instances);
   }
 }
 

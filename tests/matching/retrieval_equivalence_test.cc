@@ -1,10 +1,13 @@
-// Randomized differential test of the retrieval-index candidate
-// generation (src/retrieval/) against the all-pairs sweep: on seeded
-// wikigen corpora the two paths must produce byte-identical identity
-// graphs, outcome stats, and match provenance across every object type
-// and config ablation, while the indexed path scores at most as many
-// pairs as the sweep. Also covers snapshot restore (the index is rebuilt,
-// the "retrieval_index" validator must pass) and the shape pre-filter.
+// Randomized differential test of the matcher's two exact candidate
+// generators — the retrieval index (src/retrieval/) and the all-pairs
+// sweep — and of the size rule that chooses between them: on seeded
+// wikigen corpora and on a context that grows across the rule's constant
+// mid-stream, pinned-sweep, pinned-index and rule-chosen runs must produce
+// byte-identical identity graphs, outcome stats, and match provenance
+// across every object type and config ablation, while the index scores at
+// most as many pairs as the sweep. Also covers snapshot restore around
+// the switch (the index is rebuilt, the "retrieval_index" validator must
+// pass).
 
 #include <sstream>
 #include <string>
@@ -15,7 +18,9 @@
 #include "common/check.h"
 #include "eval/harness.h"
 #include "matching/graph_io.h"
+#include "matching/growing_context.h"
 #include "matching/matcher.h"
+#include "matching/matcher_test_peer.h"
 #include "obs/provenance.h"
 #include "state/snapshot.h"
 #include "wikigen/corpus.h"
@@ -34,6 +39,9 @@ wikigen::GoldCorpus SmallCorpus(extract::ObjectType focal, uint64_t seed) {
   return wikigen::GenerateGoldCorpus(config);
 }
 
+using Generator = TemporalMatcherTestPeer::Generator;
+using Slices = std::vector<std::vector<extract::ObjectInstance>>;
+
 /// Outcome provenance of one run: every decision that shapes the graph,
 /// excluding the work-rate fields (similarities, prunes, candidate
 /// counts) that legitimately differ between swept and indexed runs.
@@ -41,6 +49,7 @@ struct Outcome {
   std::string graph;
   MatchStats stats;
   std::vector<std::string> decisions;
+  std::vector<bool> indexed_after_step;  // has_retrieval_index() per step
 };
 
 class DecisionCollector : public obs::ProvenanceSink {
@@ -56,16 +65,17 @@ class DecisionCollector : public obs::ProvenanceSink {
   std::vector<std::string> decisions;
 };
 
-Outcome RunEngine(
-    const std::vector<std::vector<extract::ObjectInstance>>& revisions,
-    extract::ObjectType type, const MatcherConfig& config) {
+Outcome RunEngine(const Slices& revisions, extract::ObjectType type,
+                  const MatcherConfig& config, Generator generator) {
   TemporalMatcher matcher(type, config);
+  TemporalMatcherTestPeer::Pin(matcher, generator);
   DecisionCollector collector;
   matcher.SetProvenanceSink(&collector);
+  Outcome outcome;
   for (size_t r = 0; r < revisions.size(); ++r) {
     matcher.ProcessRevision(static_cast<int>(r), revisions[r]);
+    outcome.indexed_after_step.push_back(matcher.has_retrieval_index());
   }
-  Outcome outcome;
   outcome.stats = matcher.stats();
   outcome.graph = SerializeIdentityGraph(matcher.graph());
   outcome.decisions = std::move(collector.decisions);
@@ -75,6 +85,7 @@ Outcome RunEngine(
 /// Swept and indexed runs must agree on everything the graph is built
 /// from; only work-rate counters may differ (indexed never scores more).
 void ExpectEquivalent(const Outcome& swept, const Outcome& indexed) {
+  SCOPED_TRACE("sweep vs index");
   EXPECT_EQ(swept.graph, indexed.graph);
   EXPECT_EQ(swept.stats.stage1_matches, indexed.stats.stage1_matches);
   EXPECT_EQ(swept.stats.stage2_matches, indexed.stats.stage2_matches);
@@ -83,6 +94,18 @@ void ExpectEquivalent(const Outcome& swept, const Outcome& indexed) {
   EXPECT_EQ(swept.decisions, indexed.decisions);
   EXPECT_LE(indexed.stats.similarities_computed,
             swept.stats.similarities_computed);
+}
+
+/// Pinned sweep, pinned index and the size rule all agree on `slices`;
+/// returns the rule-chosen run.
+Outcome ExpectGeneratorsAgree(const Slices& slices, extract::ObjectType type,
+                              const MatcherConfig& config) {
+  const Outcome swept = RunEngine(slices, type, config, Generator::kSweep);
+  ExpectEquivalent(swept,
+                   RunEngine(slices, type, config, Generator::kIndex));
+  Outcome by_size = RunEngine(slices, type, config, Generator::kBySize);
+  ExpectEquivalent(swept, by_size);
+  return by_size;
 }
 
 void RunDifferential(extract::ObjectType focal, uint64_t seed,
@@ -95,13 +118,7 @@ void RunDifferential(extract::ObjectType focal, uint64_t seed,
     for (extract::ObjectType type :
          {extract::ObjectType::kTable, extract::ObjectType::kInfobox,
           extract::ObjectType::kList}) {
-      auto slices = eval::SliceType(objects, type);
-      MatcherConfig swept = base;
-      swept.enable_retrieval_index = false;
-      MatcherConfig indexed = base;
-      indexed.enable_retrieval_index = true;
-      ExpectEquivalent(RunEngine(slices, type, swept),
-                       RunEngine(slices, type, indexed));
+      ExpectGeneratorsAgree(eval::SliceType(objects, type), type, base);
     }
   }
 }
@@ -146,77 +163,107 @@ TEST_P(RetrievalEquivalenceTest, AblationsStayEquivalent) {
   }
 }
 
-TEST_P(RetrievalEquivalenceTest, ShapePrefilterAgreesAcrossAllEngines) {
-  // The shape pre-filter is approximate, but it must be the SAME
-  // approximation on the swept, indexed, and legacy paths.
-  MatcherConfig config;
-  config.enable_shape_prefilter = true;
-  RunDifferential(GetParam(), 109, config);
-
-  wikigen::GoldCorpus corpus = SmallCorpus(GetParam(), 110);
-  xmldump::Dump dump = wikigen::CorpusToDump(corpus);
-  for (const xmldump::PageHistory& page : dump.pages) {
-    std::vector<extract::PageObjects> objects =
-        eval::ExtractRevisionObjects(page);
-    auto slices = eval::SliceType(objects, GetParam());
-    MatcherConfig legacy = config;
-    legacy.use_flat_kernels = false;
-    EXPECT_EQ(RunEngine(slices, GetParam(), config).graph,
-              RunEngine(slices, GetParam(), legacy).graph);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(AllTypes, RetrievalEquivalenceTest,
                          ::testing::Values(extract::ObjectType::kTable,
                                            extract::ObjectType::kInfobox,
                                            extract::ObjectType::kList));
 
+// A context that grows across TemporalMatcher::kIndexMinTracked: the
+// rule-chosen run sweeps first and indexes after, and still agrees with
+// both pinned runs under every ablation the gold corpora above cover.
+TEST(RetrievalSwitchTest, ContextGrowingAcrossTheConstantAgrees) {
+  std::vector<MatcherConfig> configs(5);
+  configs[1].enable_stage3 = false;
+  configs[2].enable_stage1 = false;
+  configs[3].use_idf_weighting = false;
+  configs[4].rear_view_window = 1;
+  for (uint64_t seed : {201u, 202u}) {
+    const Slices slices = eval::SliceType(GrowingContext(seed),
+                                          extract::ObjectType::kTable);
+    for (const MatcherConfig& config : configs) {
+      Outcome by_size =
+          ExpectGeneratorsAgree(slices, extract::ObjectType::kTable, config);
+      ASSERT_FALSE(by_size.indexed_after_step.front());
+      ASSERT_TRUE(by_size.indexed_after_step.back());
+      EXPECT_GT(by_size.stats.stage2_matches + by_size.stats.stage3_matches,
+                0u);
+      EXPECT_GT(by_size.stats.new_objects, 0u);
+    }
+  }
+}
+
+// Full and delta snapshots taken one step before, at and one step after
+// the size rule switches to the index restore and continue to the
+// byte-identical graphs and the counters of an uninterrupted run: the
+// restored matcher rebuilds its index under the same rule, so it switches
+// at the same step, and the "retrieval_index" validator passes on the
+// rebuilt index.
 TEST(RetrievalSnapshotTest, RestoredIndexValidatesAndContinuesIdentically) {
-  wikigen::GoldCorpus corpus = SmallCorpus(extract::ObjectType::kTable, 111);
-  xmldump::Dump dump = wikigen::CorpusToDump(corpus);
-  for (const xmldump::PageHistory& page : dump.pages) {
-    std::vector<extract::PageObjects> objects =
-        eval::ExtractRevisionObjects(page);
-    if (objects.size() < 4) continue;
-    const size_t split = objects.size() / 2;
-
-    // Uninterrupted run.
-    state::PageState full;
-    for (size_t r = 0; r < objects.size(); ++r) {
-      full.matcher.ProcessRevision(static_cast<int>(r), objects[r]);
+  const std::vector<extract::PageObjects> history = GrowingContext(203);
+  auto extend = [&](state::PageState& state, size_t limit) {
+    for (size_t r = state.revisions_ingested; r < limit; ++r) {
+      state.matcher.ProcessRevision(static_cast<int>(r), history[r]);
+      state.revisions.push_back(history[r]);
+      state.timestamps.push_back(static_cast<UnixSeconds>(r));
+      ++state.revisions_ingested;
     }
-
-    // Run to the split, snapshot, restore, continue.
-    state::PageState first;
-    first.title = "retrieval snapshot fixture";
-    for (size_t r = 0; r < split; ++r) {
-      first.matcher.ProcessRevision(static_cast<int>(r), objects[r]);
-      first.revisions.push_back(objects[r]);
-      first.timestamps.push_back(static_cast<UnixSeconds>(r));
-      ++first.revisions_ingested;
-    }
+  };
+  auto snapshot = [](const state::PageState& state) {
     std::ostringstream out;
-    ASSERT_TRUE(state::SavePageSnapshot(first, out).ok());
-    std::istringstream in(out.str());
-    state::PageState resumed;
-    ASSERT_TRUE(
-        state::LoadPageSnapshot(in, matching::MatcherConfig{}, &resumed)
-            .ok());
-
-    // The rebuilt index must agree with the restored windows.
+    EXPECT_TRUE(state::SavePageSnapshot(state, out).ok());
+    return out.str();
+  };
+  auto continue_and_compare = [&](state::PageState& resumed,
+                                  const std::string& expected) {
     ValidationReport report;
     resumed.matcher.Validate(&report);
     EXPECT_TRUE(report.ok()) << report.ToString();
+    extend(resumed, history.size());
+    EXPECT_EQ(StateFingerprint(resumed), expected);
+  };
 
-    for (size_t r = split; r < objects.size(); ++r) {
-      resumed.matcher.ProcessRevision(static_cast<int>(r), objects[r]);
-    }
-    for (extract::ObjectType type :
-         {extract::ObjectType::kTable, extract::ObjectType::kInfobox,
-          extract::ObjectType::kList}) {
-      EXPECT_EQ(SerializeIdentityGraph(resumed.matcher.GraphFor(type)),
-                SerializeIdentityGraph(full.matcher.GraphFor(type)));
-    }
+  // The step whose candidates first come from the index.
+  size_t switch_step = 0;
+  TemporalMatcher probe(extract::ObjectType::kTable);
+  while (!probe.has_retrieval_index()) {
+    ASSERT_LT(switch_step, history.size());
+    probe.ProcessRevision(static_cast<int>(switch_step),
+                          history[switch_step].tables);
+    if (!probe.has_retrieval_index()) ++switch_step;
+  }
+  ASSERT_GE(switch_step, 2u);
+
+  state::PageState uninterrupted;
+  uninterrupted.title = "growing";
+  extend(uninterrupted, history.size());
+  const std::string expected = StateFingerprint(uninterrupted);
+
+  for (size_t cut : {switch_step - 1, switch_step, switch_step + 1}) {
+    SCOPED_TRACE("cut after " + std::to_string(cut) + " revisions");
+    state::PageState state;
+    state.title = "growing";
+    extend(state, 1);
+    const std::string anchor = snapshot(state);
+    const state::SnapshotWatermark base = state::CaptureWatermark(state);
+    extend(state, cut);
+
+    std::istringstream full_in(snapshot(state));
+    state::PageState from_full;
+    ASSERT_TRUE(
+        state::LoadPageSnapshot(full_in, MatcherConfig{}, &from_full).ok());
+    continue_and_compare(from_full, expected);
+
+    std::ostringstream delta;
+    ASSERT_TRUE(state::SavePageDelta(state, base, delta).ok());
+    std::istringstream anchor_in(anchor);
+    std::istringstream delta_in(delta.str());
+    state::PageState from_delta;
+    ASSERT_TRUE(
+        state::LoadPageSnapshot(anchor_in, MatcherConfig{}, &from_delta)
+            .ok());
+    ASSERT_TRUE(
+        state::ApplyPageDelta(delta_in, MatcherConfig{}, &from_delta).ok());
+    continue_and_compare(from_delta, expected);
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include "core/pipeline.h"
 #include "matching/matcher.h"
+#include "matching/reference_matcher.h"
 #include "xmldump/dump.h"
 
 namespace somr::obs {
@@ -143,10 +144,9 @@ TEST(ProvenanceTest, MatchRecordsCarryStageAndSimilarity) {
 }
 
 TEST(ProvenanceTest, LegacyEngineEmitsSameDecisions) {
-  matching::MatcherConfig legacy_config;
-  legacy_config.use_flat_kernels = false;
+  // The string-bag engine survives as the test-only reference oracle.
   matching::TemporalMatcher flat(ObjectType::kTable);
-  matching::TemporalMatcher legacy(ObjectType::kTable, legacy_config);
+  matching::ReferenceMatcher legacy(ObjectType::kTable);
 
   std::ostringstream flat_out, legacy_out;
   JsonlProvenanceWriter flat_writer(flat_out);
@@ -162,8 +162,8 @@ TEST(ProvenanceTest, LegacyEngineEmitsSameDecisions) {
     legacy.ProcessRevision(r, rev);
   }
 
-  // Same decisions from both engines: compare kind/stage/object/position
-  // of every pair record (step records differ in prune counters).
+  // Same decisions from both: compare kind/stage/object/position of every
+  // pair and new-object record (the reference emits no step records).
   auto key_of = [](const std::string& line) {
     return JsonField(line, "kind") + "|" + JsonField(line, "stage") + "|" +
            JsonField(line, "object") + "|" + JsonField(line, "position") +
@@ -225,7 +225,8 @@ TEST(ProvenanceTest, PipelineStampsPageTitles) {
   JsonlProvenanceWriter writer(out);
   core::Pipeline pipeline;
   pipeline.set_provenance_sink(&writer);
-  auto results = pipeline.ProcessDumpXml(xml);
+  std::istringstream in(xml);
+  auto results = pipeline.ProcessDumpStream(in);
   ASSERT_TRUE(results.ok()) << results.status().ToString();
 
   std::vector<std::string> lines = Lines(out.str());

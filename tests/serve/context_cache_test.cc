@@ -6,7 +6,9 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "matching/growing_context.h"
 #include "state/context_store.h"
 
 namespace somr::serve {
@@ -155,6 +157,45 @@ TEST_F(ContextCacheTest, CapacityClampsToOne) {
   EXPECT_EQ(cache.capacity(), 1u);
   ASSERT_TRUE(cache.GetOrLoad("A", true).ok());
   EXPECT_EQ(cache.resident(), 1u);
+}
+
+// A context whose table matcher switches to the retrieval index
+// mid-stream, spilled after and faulted back before every revision
+// (capacity 1), ends with the graphs and counters of an uninterrupted
+// run: each fault rebuilds the index under the matcher's size rule.
+TEST_F(ContextCacheTest, SpillAndFaultAcrossTheIndexSwitchIsExact) {
+  const std::vector<extract::PageObjects> history =
+      matching::GrowingContext(204);
+  auto ingest = [](state::PageState& state,
+                   const extract::PageObjects& objects) {
+    state.matcher.ProcessRevision(
+        static_cast<int>(state.revisions_ingested), objects);
+    state.revisions.push_back(objects);
+    state.timestamps.push_back(
+        static_cast<UnixSeconds>(state.revisions_ingested));
+    ++state.revisions_ingested;
+  };
+  state::PageState uninterrupted;
+  uninterrupted.title = "growing";
+  for (const extract::PageObjects& objects : history) {
+    ingest(uninterrupted, objects);
+  }
+
+  ContextCache cache(store_.get(), 1);
+  for (const extract::PageObjects& objects : history) {
+    StatusOr<state::PageState*> growing = cache.GetOrLoad("growing", true);
+    ASSERT_TRUE(growing.ok()) << growing.status().ToString();
+    ingest(**growing, objects);
+    cache.MarkDirty("growing");
+    ASSERT_TRUE(cache.GetOrLoad("other", true).ok());  // spills "growing"
+  }
+  StatusOr<state::PageState*> growing = cache.GetOrLoad("growing", false);
+  ASSERT_TRUE(growing.ok()) << growing.status().ToString();
+  // "growing" faults back before every revision after the first and for
+  // the final read ("other" faults in between).
+  EXPECT_GE(cache.stats().faults, history.size());
+  EXPECT_EQ(matching::StateFingerprint(**growing),
+            matching::StateFingerprint(uninterrupted));
 }
 
 }  // namespace

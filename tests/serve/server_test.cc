@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -287,8 +288,9 @@ TEST_F(ServerTest, ServeIngestMatchesBatchByteForByte) {
 
   // Batch reference.
   core::Pipeline pipeline;
+  std::istringstream in(xmldump::WriteDump(dump));
   StatusOr<std::vector<core::PageResult>> batch =
-      pipeline.ProcessDumpXml(xmldump::WriteDump(dump));
+      pipeline.ProcessDumpStream(in);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
 
   OpenStore(/*create=*/true);

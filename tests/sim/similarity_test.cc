@@ -158,64 +158,5 @@ TEST(SimilarityDispatchTest, KindSelectsMeasure) {
                    Containment(a, b));
 }
 
-TEST(DecayedSimilarityTest, SingleVersionNoDecay) {
-  BagOfWords v = Bag({"x", "y"});
-  BagOfWords candidate = Bag({"x", "y"});
-  TokenWeighting w;
-  EXPECT_DOUBLE_EQ(
-      DecayedSimilarity(SimilarityKind::kStrict, {&v}, candidate, 5, 0.9, w),
-      1.0);
-}
-
-TEST(DecayedSimilarityTest, OlderMatchDecays) {
-  BagOfWords old_match = Bag({"x", "y"});
-  BagOfWords newer = Bag({"z", "w"});
-  BagOfWords candidate = Bag({"x", "y"});
-  TokenWeighting w;
-  // History: old (identical) then newer (disjoint). The identical version
-  // is one step back, so its similarity is scaled by phi.
-  double s = DecayedSimilarity(SimilarityKind::kStrict,
-                               {&old_match, &newer}, candidate, 5, 0.9, w);
-  EXPECT_DOUBLE_EQ(s, 0.9);
-}
-
-TEST(DecayedSimilarityTest, WindowLimitsLookback) {
-  BagOfWords match = Bag({"x"});
-  BagOfWords noise1 = Bag({"a"});
-  BagOfWords noise2 = Bag({"b"});
-  BagOfWords candidate = Bag({"x"});
-  TokenWeighting w;
-  // The matching version is 2 steps back; with k = 2 only the last two
-  // versions are compared, so the match is missed.
-  double s = DecayedSimilarity(SimilarityKind::kStrict,
-                               {&match, &noise1, &noise2}, candidate, 2,
-                               0.9, w);
-  EXPECT_DOUBLE_EQ(s, 0.0);
-  // With k = 3 the match is found at decay phi^2.
-  s = DecayedSimilarity(SimilarityKind::kStrict,
-                        {&match, &noise1, &noise2}, candidate, 3, 0.9, w);
-  EXPECT_DOUBLE_EQ(s, 0.81);
-}
-
-TEST(DecayedSimilarityTest, PrefersRecentHighSimilarity) {
-  BagOfWords perfect_old = Bag({"x", "y"});
-  BagOfWords partial_new = Bag({"x", "z"});
-  BagOfWords candidate = Bag({"x", "y"});
-  TokenWeighting w;
-  // Newest: Ruzicka(partial, candidate) = 1/3; older: 0.9 * 1.0 = 0.9.
-  double s = DecayedSimilarity(SimilarityKind::kStrict,
-                               {&perfect_old, &partial_new}, candidate, 5,
-                               0.9, w);
-  EXPECT_DOUBLE_EQ(s, 0.9);
-}
-
-TEST(DecayedSimilarityTest, EmptyHistoryIsZero) {
-  BagOfWords candidate = Bag({"x"});
-  TokenWeighting w;
-  EXPECT_DOUBLE_EQ(DecayedSimilarity(SimilarityKind::kStrict, {},
-                                     candidate, 5, 0.9, w),
-                   0.0);
-}
-
 }  // namespace
 }  // namespace somr::sim

@@ -255,15 +255,19 @@ TEST_F(ContextStoreTest, NoTempFilesLeftBehind) {
   EXPECT_NE(std::system(cmd.c_str()), 0);  // grep -c finds none -> exit 1
 }
 
-TEST_F(ContextStoreTest, RefusesV1StoreWithMigrationMessage) {
+// v1: one file per page; v2: record logs of snapshot format v3 records.
+TEST_F(ContextStoreTest, RefusesOldStoresWithMigrationMessage) {
   std::filesystem::create_directories(dir_);
-  std::ofstream(dir_ + "/manifest.tsv")
-      << "# somr-context-store v1 config=0123456789abcdef\n";
-  ContextStore store(dir_);
-  Status status = store.Open(/*create=*/false);
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.ToString().find("re-ingest"), std::string::npos)
-      << status.ToString();
+  for (const char* header :
+       {"# somr-context-store v1 config=0123456789abcdef\n",
+        "# somr-context-store v2 config=0123456789abcdef\n"}) {
+    std::ofstream(dir_ + "/manifest.tsv") << header;
+    ContextStore store(dir_);
+    Status status = store.Open(/*create=*/false);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << header;
+    EXPECT_NE(status.ToString().find("re-ingest"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST_F(ContextStoreTest, DeltaChainCadenceReanchors) {

@@ -138,8 +138,9 @@ int main(int argc, char** argv) {
 
   core::Pipeline pipeline;
   pipeline.set_provenance_sink(&filter);
+  std::istringstream in(xml);
   StatusOr<std::vector<core::PageResult>> results =
-      pipeline.ProcessDumpXml(xml);
+      pipeline.ProcessDumpStream(in);
   if (!results.ok()) {
     std::fprintf(stderr, "failed: %s\n",
                  results.status().ToString().c_str());

@@ -10,10 +10,10 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <sstream>
 
 #include "common/check.h"
 #include "common/flags.h"
-#include "common/string_util.h"
 #include "core/change_classifier.h"
 #include "core/change_cube.h"
 #include "core/pipeline.h"
@@ -62,9 +62,6 @@ int main(int argc, char** argv) {
   flags.AddBool("classify", false,
                 "print an update-classification summary");
   flags.AddBool("summary", true, "print per-page object summaries");
-  flags.AddBool("in-memory", false,
-                "load the whole dump into RAM instead of streaming "
-                "<page> blocks");
   flags.AddBool("validate", false,
                 "run the registered invariant validators over every "
                 "result (graph linearity, matching validity, retrieval "
@@ -107,28 +104,18 @@ int main(int argc, char** argv) {
     // trace buffer.
     SOMR_TRACE_SCOPE_CAT("somr", "somr/run");
     if (flags.GetBool("demo")) {
-      results = pipeline.ProcessDumpXmlParallel(DemoDump(), threads);
+      std::istringstream in(DemoDump());
+      results = pipeline.ProcessDumpStream(in, threads);
     } else if (!flags.Positional().empty()) {
+      // Stream <page> blocks so large dumps never need the whole XML in
+      // memory.
       const std::string& path = flags.Positional()[0];
-      if (flags.GetBool("in-memory")) {
-        // One sized read — no stringstream double-buffering.
-        StatusOr<std::string> xml = ReadFileToString(path);
-        if (!xml.ok()) {
-          std::fprintf(stderr, "cannot read %s: %s\n", path.c_str(),
-                       xml.status().ToString().c_str());
-          return 1;
-        }
-        results = pipeline.ProcessDumpXmlParallel(*xml, threads);
-      } else {
-        // Default: stream <page> blocks so large dumps never need the
-        // whole XML in memory.
-        std::ifstream in(path, std::ios::binary);
-        if (!in) {
-          std::fprintf(stderr, "cannot open %s\n", path.c_str());
-          return 1;
-        }
-        results = pipeline.ProcessDumpStream(in, threads);
+      std::ifstream in(path, std::ios::binary);
+      if (!in) {
+        std::fprintf(stderr, "cannot open %s\n", path.c_str());
+        return 1;
       }
+      results = pipeline.ProcessDumpStream(in, threads);
     } else {
       std::fprintf(stderr, "no input: pass a dump path or --demo\n%s",
                    flags.Usage(argv[0]).c_str());
@@ -206,23 +193,22 @@ int main(int argc, char** argv) {
                                               page.revisions, &report);
       }
     }
-    // The graph checks above run on pipeline outputs alone; the
-    // retrieval-index validator needs live matcher state, so re-run
-    // matching per page and sweep the matcher's validators (including
-    // "retrieval_index") over the final windows.
-    size_t matchers_swept = 0;
-    if (pipeline.config().use_flat_kernels &&
-        pipeline.config().enable_retrieval_index) {
-      for (const core::PageResult& page : *results) {
-        for (extract::ObjectType type : kAllTypes) {
-          matching::TemporalMatcher matcher(type, pipeline.config());
-          for (size_t r = 0; r < page.revisions.size(); ++r) {
-            matcher.ProcessRevision(static_cast<int>(r),
-                                    page.revisions[r].OfType(type));
-          }
-          matcher.Validate(&report);
-          ++matchers_swept;
+    // The graph checks above run on pipeline outputs alone; the matcher
+    // validators (including "retrieval_index") need live matcher state,
+    // so re-run matching per page and validate every final matcher. A
+    // matcher that stayed below the index threshold has no index to
+    // check.
+    size_t matchers_swept = 0, matchers_indexed = 0;
+    for (const core::PageResult& page : *results) {
+      for (extract::ObjectType type : kAllTypes) {
+        matching::TemporalMatcher matcher(type, pipeline.config());
+        for (size_t r = 0; r < page.revisions.size(); ++r) {
+          matcher.ProcessRevision(static_cast<int>(r),
+                                  page.revisions[r].OfType(type));
         }
+        matcher.Validate(&report);
+        ++matchers_swept;
+        if (matcher.has_retrieval_index()) ++matchers_indexed;
       }
     }
     if (!report.ok()) {
@@ -230,9 +216,9 @@ int main(int argc, char** argv) {
                    report.issue_count(), report.ToString().c_str());
       return 1;
     }
-    std::printf("validation OK (%zu pages, %zu objects, "
-                "%zu retrieval-index sweeps)\n",
-                results->size(), objects, matchers_swept);
+    std::printf("validation OK (%zu pages, %zu objects, %zu matchers, "
+                "%zu with a retrieval index)\n",
+                results->size(), objects, matchers_swept, matchers_indexed);
   }
 
   if (flags.GetBool("classify")) {
