@@ -1,5 +1,7 @@
 // Candidate-generation benchmark for the retrieval index (DESIGN.md
-// §12): a synthetic page with N tracked tables is matched against small
+// §12), in two parts.
+//
+// Synthetic sweep: a page with N tracked tables is matched against small
 // perturbed revisions, once with the all-pairs sweep and once with the
 // inverted-index path (each pinned through the matcher's test peer), at
 // N = 10 / 32 / 64 / 100 / 1000 / 10000. Reports wall time per matching
@@ -14,6 +16,14 @@
 // SimilarityUpperBound(total_a, total_b) is ~1 for every pair and only
 // real overlap information — which is what the index provides — can
 // prune a pair before scoring.
+//
+// Crossover table: the two real-shaped corpora the switch constant is
+// chosen on — gold pages (wikigen, 4 pages of stratum cap 64 with 220
+// revisions per focal type, all three object types matched) and a
+// Socrata lake (one subdomain each of 12 to 150 datasets, 12 snapshots,
+// spatial features off) — matched with each generator pinned. Each step's time is the best
+// of three runs and is summed into a bucket by the number of objects the
+// matcher tracked before the step.
 //
 //   bench_retrieval_index                # human-readable to stdout
 //   bench_retrieval_index --json [path]  # merge into BENCH_matching.json
@@ -30,11 +40,14 @@
 #include <string>
 #include <vector>
 
+#include "archive/socrata.h"
 #include "common/rng.h"
+#include "eval/harness.h"
 #include "extract/object.h"
 #include "matching/graph_io.h"
 #include "matching/matcher.h"
 #include "matching/matcher_test_peer.h"
+#include "wikigen/corpus.h"
 
 namespace {
 
@@ -164,6 +177,169 @@ std::vector<SweepRow> RunSweep() {
   return rows;
 }
 
+// --- Crossover table --------------------------------------------------
+
+using Slices = std::vector<std::vector<extract::ObjectInstance>>;
+
+/// One matcher context of a crossover corpus.
+struct Context {
+  extract::ObjectType type = extract::ObjectType::kTable;
+  matching::MatcherConfig config;
+  Slices revisions;
+};
+
+/// Lower edges of the tracked-before-step buckets; the last is open.
+constexpr size_t kBucketFloors[] = {0, 32, 40, 48, 56, 64, 80, 128};
+constexpr size_t kBuckets = std::size(kBucketFloors);
+constexpr int kCrossoverRepeats = 3;
+
+size_t BucketOf(size_t tracked) {
+  size_t bucket = 0;
+  while (bucket + 1 < kBuckets && tracked >= kBucketFloors[bucket + 1]) {
+    ++bucket;
+  }
+  return bucket;
+}
+
+std::string BucketLabel(size_t bucket) {
+  if (bucket + 1 == kBuckets) {
+    return std::to_string(kBucketFloors[bucket]) + "+";
+  }
+  return std::to_string(kBucketFloors[bucket]) + "-" +
+         std::to_string(kBucketFloors[bucket + 1] - 1);
+}
+
+struct CrossoverRow {
+  std::string corpus;
+  double swept_s[kBuckets] = {};
+  double indexed_s[kBuckets] = {};
+  size_t steps[kBuckets] = {};
+};
+
+/// Per-step wall seconds of one pinned run (best of the repeats), plus
+/// the tracked count before each step.
+std::vector<double> TimeSteps(const Context& context, bool indexed,
+                              std::vector<size_t>* tracked_before,
+                              std::string* graph) {
+  using Peer = matching::TemporalMatcherTestPeer;
+  std::vector<double> best(context.revisions.size(), 1e300);
+  for (int repeat = 0; repeat < kCrossoverRepeats; ++repeat) {
+    matching::TemporalMatcher matcher(context.type, context.config);
+    Peer::Pin(matcher, indexed ? Peer::Generator::kIndex
+                               : Peer::Generator::kSweep);
+    tracked_before->clear();
+    for (size_t r = 0; r < context.revisions.size(); ++r) {
+      tracked_before->push_back(matcher.graph().ObjectCount());
+      auto start = std::chrono::steady_clock::now();
+      matcher.ProcessRevision(static_cast<int>(r), context.revisions[r]);
+      const std::chrono::duration<double> took =
+          std::chrono::steady_clock::now() - start;
+      best[r] = std::min(best[r], took.count());
+    }
+    *graph = matching::SerializeIdentityGraph(matcher.graph());
+  }
+  return best;
+}
+
+CrossoverRow RunCrossover(const std::string& corpus,
+                          const std::vector<Context>& contexts) {
+  CrossoverRow row;
+  row.corpus = corpus;
+  for (const Context& context : contexts) {
+    std::vector<size_t> tracked;
+    std::string swept_graph, indexed_graph;
+    const std::vector<double> swept =
+        TimeSteps(context, /*indexed=*/false, &tracked, &swept_graph);
+    const std::vector<double> indexed =
+        TimeSteps(context, /*indexed=*/true, &tracked, &indexed_graph);
+    if (swept_graph != indexed_graph) {
+      std::fprintf(stderr,
+                   "*** FATAL: swept and indexed identity graphs differ "
+                   "on the %s corpus ***\n",
+                   corpus.c_str());
+      std::exit(1);
+    }
+    for (size_t r = 0; r < tracked.size(); ++r) {
+      const size_t bucket = BucketOf(tracked[r]);
+      row.swept_s[bucket] += swept[r];
+      row.indexed_s[bucket] += indexed[r];
+      ++row.steps[bucket];
+    }
+  }
+  return row;
+}
+
+std::vector<Context> GoldContexts() {
+  std::vector<Context> contexts;
+  for (extract::ObjectType focal :
+       {extract::ObjectType::kTable, extract::ObjectType::kInfobox,
+        extract::ObjectType::kList}) {
+    wikigen::CorpusConfig config;
+    config.focal_type = focal;
+    config.strata_caps = {64};
+    config.pages_per_stratum = 4;
+    config.min_revisions = 220;
+    config.max_revisions = 220;
+    const xmldump::Dump dump =
+        wikigen::CorpusToDump(wikigen::GenerateGoldCorpus(config));
+    for (const xmldump::PageHistory& page : dump.pages) {
+      const std::vector<extract::PageObjects> objects =
+          eval::ExtractRevisionObjects(page);
+      for (extract::ObjectType type :
+           {extract::ObjectType::kTable, extract::ObjectType::kInfobox,
+            extract::ObjectType::kList}) {
+        contexts.push_back({type, {}, eval::SliceType(objects, type)});
+      }
+    }
+  }
+  return contexts;
+}
+
+std::vector<Context> LakeContexts() {
+  std::vector<Context> contexts;
+  matching::MatcherConfig config;
+  config.use_spatial_features = false;
+  for (int datasets : {12, 24, 32, 48, 64, 80, 100, 150}) {
+    archive::SocrataConfig lake;
+    lake.subdomains = {"lake"};
+    lake.datasets_per_subdomain = datasets;
+    lake.num_snapshots = 12;
+    for (archive::SocrataContext& context : archive::GenerateSocrata(lake)) {
+      contexts.push_back(
+          {extract::ObjectType::kTable, config, std::move(context.snapshots)});
+    }
+  }
+  return contexts;
+}
+
+std::vector<CrossoverRow> RunCrossoverTable() {
+  return {RunCrossover("gold", GoldContexts()),
+          RunCrossover("lake", LakeContexts())};
+}
+
+void PrintCrossover(const std::vector<CrossoverRow>& rows) {
+  std::printf("\ncrossover: seconds per bucket of tracked-before-step, "
+              "sweep / index (steps)\n%8s", "corpus");
+  for (size_t b = 0; b < kBuckets; ++b) {
+    std::printf(" %22s", BucketLabel(b).c_str());
+  }
+  std::printf("\n");
+  for (const CrossoverRow& row : rows) {
+    std::printf("%8s", row.corpus.c_str());
+    for (size_t b = 0; b < kBuckets; ++b) {
+      if (row.steps[b] == 0) {
+        std::printf(" %22s", "-");
+        continue;
+      }
+      char cell[64];
+      std::snprintf(cell, sizeof cell, "%.3f / %.3f (%zu)", row.swept_s[b],
+                    row.indexed_s[b], row.steps[b]);
+      std::printf(" %22s", cell);
+    }
+    std::printf("\n");
+  }
+}
+
 double PairReduction(const SweepRow& row) {
   if (row.indexed.pairs_scored == 0) {
     return static_cast<double>(row.swept.pairs_scored);
@@ -193,7 +369,33 @@ void PrintReport(const std::vector<SweepRow>& rows) {
   }
 }
 
-std::string CandidateGenJson(const std::vector<SweepRow>& rows) {
+/// The crossover table as one JSON object per corpus: bucket label ->
+/// [sweep seconds, index seconds, steps]; empty buckets are left out.
+std::string CrossoverJson(const std::vector<CrossoverRow>& rows) {
+  std::ostringstream out;
+  out << "      \"crossover_s\": {";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    out << (i > 0 ? "," : "") << "\n        \"" << rows[i].corpus
+        << "\": {";
+    bool first = true;
+    for (size_t b = 0; b < kBuckets; ++b) {
+      if (rows[i].steps[b] == 0) continue;
+      char buf[96];
+      std::snprintf(buf, sizeof buf, "%s\"%s\": [%.4f, %.4f, %zu]",
+                    first ? "" : ", ", BucketLabel(b).c_str(),
+                    rows[i].swept_s[b], rows[i].indexed_s[b],
+                    rows[i].steps[b]);
+      out << buf;
+      first = false;
+    }
+    out << "}";
+  }
+  out << "\n      }";
+  return out.str();
+}
+
+std::string CandidateGenJson(const std::vector<SweepRow>& rows,
+                             const std::vector<CrossoverRow>& crossover) {
   std::ostringstream out;
   auto emit_map = [&](const char* name, auto value_of, const char* fmt) {
     out << "      \"" << name << "\": {";
@@ -230,7 +432,8 @@ std::string CandidateGenJson(const std::vector<SweepRow>& rows) {
       "\"%zu\": %.0f");
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.1f", PairReduction(rows.back()));
-  out << ",\n      \"pair_reduction_at_max\": " << buf << "\n    }";
+  out << ",\n      \"pair_reduction_at_max\": " << buf << ",\n"
+      << CrossoverJson(crossover) << "\n    }";
   return out.str();
 }
 
@@ -248,7 +451,8 @@ size_t MatchBrace(const std::string& text, size_t open) {
 /// "ns_per_op" object (replacing a previous "candidate_gen" entry), or
 /// writes a fresh file when the report does not exist yet.
 int WriteJsonReport(const std::string& path,
-                    const std::vector<SweepRow>& rows) {
+                    const std::vector<SweepRow>& rows,
+                    const std::vector<CrossoverRow>& crossover) {
   std::string existing;
   {
     std::ifstream in(path);
@@ -292,7 +496,7 @@ int WriteJsonReport(const std::string& path,
       open == std::string::npos ? std::string::npos
                                 : MatchBrace(existing, open);
   if (close == std::string::npos) {
-    out << "{\n  \"ns_per_op\": {\n    " << CandidateGenJson(rows)
+    out << "{\n  \"ns_per_op\": {\n    " << CandidateGenJson(rows, crossover)
         << "\n  }\n}\n";
   } else {
     size_t last = close;
@@ -300,8 +504,9 @@ int WriteJsonReport(const std::string& path,
            std::isspace(static_cast<unsigned char>(existing[last - 1]))) {
       --last;
     }
-    out << existing.substr(0, last) << ",\n    " << CandidateGenJson(rows)
-        << "\n  }" << existing.substr(close + 1);
+    out << existing.substr(0, last) << ",\n    "
+        << CandidateGenJson(rows, crossover) << "\n  }"
+        << existing.substr(close + 1);
   }
   return 0;
 }
@@ -311,10 +516,12 @@ int WriteJsonReport(const std::string& path,
 int main(int argc, char** argv) {
   std::vector<SweepRow> rows = RunSweep();
   PrintReport(rows);
+  std::vector<CrossoverRow> crossover = RunCrossoverTable();
+  PrintCrossover(crossover);
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--json") {
       std::string path = i + 1 < argc ? argv[i + 1] : "BENCH_matching.json";
-      return WriteJsonReport(path, rows);
+      return WriteJsonReport(path, rows, crossover);
     }
   }
   return 0;

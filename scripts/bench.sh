@@ -6,8 +6,9 @@
 # sweep (per-page and intra-step wall times at 1/2/4/8 workers, with the
 # machine's hardware_concurrency recorded alongside), the
 # candidate-generation sweep (swept vs retrieval-index matching step at
-# 10..10000 tracked objects and the matcher's switch constant, merged
-# under ns_per_op.candidate_gen), the context-store checkpoint/fault sweep
+# 10..10000 tracked objects, the matcher's switch constant and the
+# gold-page / Socrata-lake crossover table, merged under
+# ns_per_op.candidate_gen), the context-store checkpoint/fault sweep
 # (full vs delta records, ns_per_op.state_io; about 45 s) and the
 # somr_lint analysis-pass full-tree runtime (ns_per_op.lint_analysis).
 # Compare the file across commits to catch hot-path regressions — the

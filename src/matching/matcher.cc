@@ -70,7 +70,7 @@ MatcherMetrics& GetMatcherMetrics() {
                                   "instances that started a new object");
     m->retrieval_postings =
         r.GetCounter("somr_retrieval_postings_total",
-                     "inverted-index postings scanned by retrieval");
+                     "envelope postings scanned by retrieval (live and stale)");
     m->retrieval_pruned =
         r.GetCounter("somr_retrieval_candidates_pruned_total",
                      "retrieval candidates rejected by the theta bound");
@@ -846,13 +846,9 @@ void TemporalMatcher::ProcessRevisionFlat(
           weights_.RemovePrevBag(t.recent_flat.back());
         }
         t.recent_flat.push_back(std::move(incoming[ni]));
+        while (t.recent_flat.size() > window) t.recent_flat.pop_front();
         if (use_index) {
-          index_->AppendBag(static_cast<uint32_t>(t.id),
-                            t.recent_flat.back());
-        }
-        while (t.recent_flat.size() > window) {
-          if (use_index) index_->NoteEviction(t.recent_flat.front());
-          t.recent_flat.pop_front();
+          index_->UpdateWindow(static_cast<uint32_t>(t.id), t.recent_flat);
         }
         if (incremental_weights) weights_.AddPrevBag(t.recent_flat.back());
       });
@@ -880,9 +876,7 @@ void TemporalMatcher::RebuildDerivedState() {
       static_cast<size_t>(std::max(config_.rear_view_window, 1));
   index_ = std::make_unique<retrieval::CandidateIndex>(window);
   for (size_t ti = 0; ti < tracked_.size(); ++ti) {
-    for (const FlatBag& bag : tracked_[ti].recent_flat) {
-      index_->AppendBag(static_cast<uint32_t>(ti), bag);
-    }
+    index_->UpdateWindow(static_cast<uint32_t>(ti), tracked_[ti].recent_flat);
   }
   if (config_.use_idf_weighting) {
     // Seed the incremental previous-version document frequencies from

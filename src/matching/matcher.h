@@ -258,8 +258,8 @@ class TemporalMatcher : public RevisionMatcher {
   TokenPool pool_;                  // page-lifetime token interning
   sim::DenseTokenWeights weights_;  // per-step IDF weights
   CandidateGen candidate_gen_ = CandidateGen::kBySize;
-  /// Inverted index over the rear-view windows, built once WantsIndex()
-  /// holds; never serialized — see RebuildDerivedState.
+  /// Inverted index over the rear-view window envelopes, built once
+  /// WantsIndex() holds; never serialized — see RebuildDerivedState.
   std::unique_ptr<retrieval::CandidateIndex> index_;
   /// Lazy per-(tracked, window-slot) weighted totals for the indexed
   /// path, stamped per step so only retrieval candidates pay for them

@@ -1,17 +1,12 @@
 #include "retrieval/candidate_index.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <map>
 
 #include "common/check.h"
 
 namespace somr::retrieval {
 namespace {
-
-/// Compaction triggers once stale postings outnumber live ones AND the
-/// absolute waste is worth a rewrite; the floor keeps tiny indexes from
-/// compacting constantly.
-constexpr uint64_t kCompactionFloor = 1024;
 
 /// Slop on the early-termination threshold so borderline floating-point
 /// comparisons always err on the side of keeping a term. Matches the
@@ -23,28 +18,61 @@ constexpr double kThetaSlack = 1e-9;
 CandidateIndex::CandidateIndex(size_t window)
     : window_(window == 0 ? 1 : window) {}
 
-void CandidateIndex::AppendBag(uint32_t object, const FlatBag& bag) {
-  if (object >= append_count_.size()) {
-    append_count_.resize(object + 1, 0);
+void CandidateIndex::UpdateWindow(uint32_t object,
+                                  const std::deque<FlatBag>& window) {
+  SOMR_DCHECK_LE(window.size(), window_);
+  if (object >= generation_.size()) {
+    generation_.resize(object + 1, 0);
+    live_postings_.resize(object + 1, 0);
   }
-  const uint32_t seq = ++append_count_[object];
-  if (bag.empty()) {
-    empty_postings_.push_back({object, seq, 0.0});
-    ++total_postings_;
-  } else {
-    const std::vector<FlatEntry>& entries = bag.entries();
-    const uint32_t max_id = entries.back().id;
-    if (lists_.size() <= max_id) lists_.resize(max_id + 1);
-    for (const FlatEntry& e : entries) {
-      lists_[e.id].push_back({object, seq, e.count});
-    }
-    total_postings_ += entries.size();
-  }
-  MaybeCompact();
-}
+  // Bumping the generation retires every posting of the old envelope.
+  dead_postings_ += live_postings_[object];
+  const uint32_t generation = ++generation_[object];
 
-void CandidateIndex::NoteEviction(const FlatBag& evicted) {
-  dead_postings_ += evicted.empty() ? 1 : evicted.DistinctCount();
+  // k-way max-merge of the window bags (each ascending by id) into the
+  // envelope: per token id, the max count over the versions holding it.
+  bool has_empty = false;
+  cursors_.clear();
+  for (const FlatBag& bag : window) {
+    const std::vector<FlatEntry>& entries = bag.entries();
+    if (entries.empty()) {
+      has_empty = true;
+    } else {
+      cursors_.push_back({entries.data(), entries.data() + entries.size()});
+    }
+  }
+  envelope_.clear();
+  while (!cursors_.empty()) {
+    uint32_t id = cursors_.front().at->id;
+    for (const Cursor& c : cursors_) id = std::min(id, c.at->id);
+    double count = 0.0;
+    for (size_t i = 0; i < cursors_.size();) {
+      Cursor& c = cursors_[i];
+      if (c.at->id == id) {
+        count = std::max(count, c.at->count);
+        if (++c.at == c.end) {
+          c = cursors_.back();
+          cursors_.pop_back();
+          continue;
+        }
+      }
+      ++i;
+    }
+    envelope_.push_back({id, count});
+  }
+
+  if (!envelope_.empty()) {
+    const uint32_t max_id = envelope_.back().id;
+    if (lists_.size() <= max_id) lists_.resize(max_id + 1);
+    for (const FlatEntry& e : envelope_) {
+      lists_[e.id].push_back({object, generation, e.count});
+    }
+  }
+  if (has_empty) empty_postings_.push_back({object, generation, 0.0});
+  live_postings_[object] =
+      static_cast<uint32_t>(envelope_.size()) + (has_empty ? 1 : 0);
+  total_postings_ += live_postings_[object];
+  MaybeCompact();
 }
 
 void CandidateIndex::MaybeCompact() {
@@ -71,8 +99,6 @@ void CandidateIndex::EnsureScratch(size_t object_count) {
   if (acc_.size() < object_count) {
     acc_.resize(object_count, 0.0);
     acc_mark_.resize(object_count, 0);
-    term_best_.resize(object_count, 0.0);
-    term_mark_.resize(object_count, 0);
   }
 }
 
@@ -84,8 +110,8 @@ void CandidateIndex::RetrieveOverlaps(const FlatBag& query,
   out->candidates.clear();
   out->slack = 0.0;
   ++stats_.queries;
-  if (append_count_.empty() || query.empty()) return;
-  EnsureScratch(append_count_.size());
+  if (generation_.empty() || query.empty()) return;
+  EnsureScratch(generation_.size());
   ++query_serial_;
   touched_.clear();
 
@@ -126,33 +152,19 @@ void CandidateIndex::RetrieveOverlaps(const FlatBag& query,
     ++walked;
     const std::vector<Posting>& list = lists_[t.id];
     stats_.postings_scanned += list.size();
-    // Two phases per term: first the max live count per object (window
-    // versions of one object shadow each other under min()), then one
-    // accumulation per touched object. This makes each object's sum
-    // independent of how its postings interleave with other objects',
-    // so a rebuilt index accumulates bit-identically.
-    ++term_serial_;
-    term_touched_.clear();
+    // An object has one live posting per envelope token, so each object's
+    // sum is accumulated in term order whatever the list interleaving,
+    // and a rebuilt index accumulates bit-identically.
     for (const Posting& p : list) {
       if (!Live(p)) continue;
-      if (term_mark_[p.object] != term_serial_) {
-        term_mark_[p.object] = term_serial_;
-        term_best_[p.object] = p.count;
-        term_touched_.push_back(p.object);
-      } else if (p.count > term_best_[p.object]) {
-        term_best_[p.object] = p.count;
-      }
-    }
-    for (const uint32_t object : term_touched_) {
-      const double best = term_best_[object];
       const double contribution =
-          t.weight * (t.count < best ? t.count : best);
-      if (acc_mark_[object] != query_serial_) {
-        acc_mark_[object] = query_serial_;
-        acc_[object] = contribution;
-        touched_.push_back(object);
+          t.weight * (t.count < p.count ? t.count : p.count);
+      if (acc_mark_[p.object] != query_serial_) {
+        acc_mark_[p.object] = query_serial_;
+        acc_[p.object] = contribution;
+        touched_.push_back(p.object);
       } else {
-        acc_[object] += contribution;
+        acc_[p.object] += contribution;
       }
     }
     remaining -= t.cap;
@@ -180,88 +192,114 @@ void CandidateIndex::ValidEmptyObjects(std::vector<uint32_t>* out) const {
     if (Live(p)) out->push_back(p.object);
   }
   std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
 }
 
 void CandidateIndex::Validate(
     const std::vector<const std::deque<FlatBag>*>& windows,
     ValidationReport* report) const {
-  if (windows.size() != append_count_.size()) {
+  const size_t objects = generation_.size();
+  if (windows.size() != objects) {
     report->AddIssue("retrieval_index")
-        << "tracks " << append_count_.size() << " objects, matcher has "
+        << "tracks " << objects << " objects, matcher has "
         << windows.size();
     return;
   }
-  uint64_t window_entries = 0;
-  for (size_t object = 0; object < windows.size(); ++object) {
+
+  // The envelopes, recomputed from the windows independently of the
+  // merge UpdateWindow runs.
+  std::vector<std::map<uint32_t, double>> envelopes(objects);
+  std::vector<bool> has_empty(objects, false);
+  uint64_t envelope_entries = 0;
+  for (size_t object = 0; object < objects; ++object) {
     const std::deque<FlatBag>& window = *windows[object];
     if (window.size() > window_) {
       report->AddIssue("retrieval_index")
           << "object " << object << " window holds " << window.size()
           << " bags, index window is " << window_;
     }
-    if (append_count_[object] < window.size()) {
-      report->AddIssue("retrieval_index")
-          << "object " << object << " append_count "
-          << append_count_[object] << " below window size " << window.size();
-    }
+    std::map<uint32_t, double>& envelope = envelopes[object];
     for (const FlatBag& bag : window) {
-      window_entries += bag.empty() ? 1 : bag.DistinctCount();
+      if (bag.empty()) has_empty[object] = true;
+      for (const FlatEntry& e : bag.entries()) {
+        double& count = envelope[e.id];
+        count = std::max(count, e.count);
+      }
+    }
+    const uint64_t expected = envelope.size() + (has_empty[object] ? 1 : 0);
+    if (live_postings_[object] != expected) {
+      report->AddIssue("retrieval_index")
+          << "object " << object << " books " << live_postings_[object]
+          << " live postings, its envelope has " << expected;
+    }
+    envelope_entries += expected;
+  }
+
+  // Every live posting must hold a token of its object's envelope with
+  // the envelope count, at most once per list; no posting may claim a
+  // generation its object has not reached (it would come alive later).
+  uint64_t live_postings = 0;
+  std::vector<uint64_t> seen_in(objects, 0);  // stamp: list index + 1
+  auto check = [&](uint64_t list, const Posting& p) -> bool {
+    if (p.object >= objects) {
+      report->AddIssue("retrieval_index")
+          << "posting for unknown object " << p.object;
+      return false;
+    }
+    if (p.generation > generation_[p.object]) {
+      report->AddIssue("retrieval_index")
+          << "posting for object " << p.object << " has generation "
+          << p.generation << " beyond the current " << generation_[p.object];
+    }
+    if (!Live(p)) return false;
+    ++live_postings;
+    if (seen_in[p.object] == list + 1) {
+      report->AddIssue("retrieval_index")
+          << "duplicate live posting for object " << p.object << " in list "
+          << list;
+    }
+    seen_in[p.object] = list + 1;
+    return true;
+  };
+  for (uint32_t token = 0; token < lists_.size(); ++token) {
+    for (const Posting& p : lists_[token]) {
+      if (!check(token, p)) continue;
+      const std::map<uint32_t, double>& envelope = envelopes[p.object];
+      const auto it = envelope.find(token);
+      if (it == envelope.end()) {
+        report->AddIssue("retrieval_index")
+            << "live posting for object " << p.object << " token " << token
+            << " is in no window bag";
+      } else if (it->second != p.count) {
+        report->AddIssue("retrieval_index")
+            << "posting count " << p.count << " for object " << p.object
+            << " token " << token << ", envelope max is " << it->second;
+      }
+    }
+  }
+  for (const Posting& p : empty_postings_) {
+    if (!check(lists_.size(), p)) continue;
+    if (!has_empty[p.object]) {
+      report->AddIssue("retrieval_index")
+          << "empty posting for object " << p.object
+          << " whose window holds no empty bag";
     }
   }
 
-  // Every live posting must point at an existing window bag with the
-  // same count for its token; (object, seq) must be unique per list.
-  uint64_t live_postings = 0;
-  std::unordered_set<uint64_t> seen;
-  auto check_live = [&](uint32_t token, const Posting& p, bool empty_list) {
-    const std::deque<FlatBag>& window = *windows[p.object];
-    const uint64_t back = append_count_[p.object] - p.append_seq;
-    if (back >= window.size()) {
+  for (size_t object = 0; object < objects; ++object) {
+    if (has_empty[object] && seen_in[object] != lists_.size() + 1) {
       report->AddIssue("retrieval_index")
-          << "live posting for object " << p.object << " seq "
-          << p.append_seq << " has no window bag";
-      return;
+          << "object " << object
+          << " holds an empty bag but has no live empty posting";
     }
-    ++live_postings;
-    const uint64_t key =
-        (static_cast<uint64_t>(p.object) << 32) | p.append_seq;
-    if (!seen.insert(key).second) {
-      report->AddIssue("retrieval_index")
-          << "duplicate posting for object " << p.object << " seq "
-          << p.append_seq << " in list " << token;
-    }
-    const FlatBag& bag = window[window.size() - 1 - back];
-    if (empty_list) {
-      if (!bag.empty()) {
-        report->AddIssue("retrieval_index")
-            << "empty posting for object " << p.object
-            << " maps to a non-empty bag";
-      }
-    } else if (bag.Count(token) != p.count) {
-      report->AddIssue("retrieval_index")
-          << "posting count mismatch for object " << p.object << " token "
-          << token;
-    }
-  };
-  for (uint32_t token = 0; token < lists_.size(); ++token) {
-    seen.clear();
-    for (const Posting& p : lists_[token]) {
-      if (Live(p)) check_live(token, p, /*empty_list=*/false);
-    }
-  }
-  seen.clear();
-  for (const Posting& p : empty_postings_) {
-    if (Live(p)) check_live(0, p, /*empty_list=*/true);
   }
 
   // Counting both directions: the per-posting checks above prove every
-  // live posting maps to a distinct window entry; equal totals then
-  // prove every window entry has its posting.
-  if (live_postings != window_entries) {
+  // live posting maps to a distinct envelope entry; equal totals then
+  // prove every envelope entry (and every empty bag) has its posting.
+  if (live_postings != envelope_entries) {
     report->AddIssue("retrieval_index")
-        << live_postings << " live postings vs " << window_entries
-        << " window entries";
+        << live_postings << " live postings vs " << envelope_entries
+        << " envelope entries";
   }
 }
 

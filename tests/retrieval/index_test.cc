@@ -1,14 +1,16 @@
-// Tests for the incremental inverted index (src/retrieval/): bound
-// soundness against a brute-force overlap oracle under randomized window
-// churn, lazy invalidation on eviction, compaction invisibility, WAND
-// early-termination accounting, the window validator, and bit-equality
-// of the SIMD galloping intersection backends.
+// Tests for the incremental inverted index (src/retrieval/): envelope
+// bounds against brute-force overlap oracles under randomized window
+// churn, generation liveness on window roll, compaction invisibility and
+// the bound it keeps on stale postings, WAND early-termination
+// accounting, the window validator, and bit-equality of the SIMD
+// galloping intersection backends.
 
 #include "retrieval/candidate_index.h"
 
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <numeric>
 #include <string_view>
 #include <vector>
 
@@ -34,13 +36,35 @@ double Overlap(const FlatBag& a, const FlatBag& b,
   return sim::WeightedSumMin(a, b, weights);
 }
 
+using Windows = std::vector<std::deque<FlatBag>>;
+
+// Rolls `bag` into `object`'s window, evicting beyond the index window,
+// and hands the window to the index, as the matcher's commit does.
+void Roll(CandidateIndex& index, Windows& windows, uint32_t object,
+          FlatBag bag) {
+  if (object >= windows.size()) windows.resize(object + 1);
+  std::deque<FlatBag>& window = windows[object];
+  window.push_back(std::move(bag));
+  while (window.size() > index.window()) window.pop_front();
+  index.UpdateWindow(object, window);
+}
+
+void ExpectValid(const CandidateIndex& index, const Windows& windows) {
+  ValidationReport report;
+  std::vector<const std::deque<FlatBag>*> window_ptrs;
+  for (const std::deque<FlatBag>& w : windows) window_ptrs.push_back(&w);
+  ValidateCandidateIndex(index, window_ptrs, &report);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
 TEST(CandidateIndexTest, RetrievesSharedTokenObjects) {
   CandidateIndex index(/*window=*/3);
+  Windows windows;
   sim::DenseTokenWeights weights;
   weights.BuildUniform();
-  index.AppendBag(0, MakeBag({1, 2, 3}));
-  index.AppendBag(1, MakeBag({7, 8}));
-  index.AppendBag(2, MakeBag({3, 4}));
+  Roll(index, windows, 0, MakeBag({1, 2, 3}));
+  Roll(index, windows, 1, MakeBag({7, 8}));
+  Roll(index, windows, 2, MakeBag({3, 4}));
 
   FlatBag query = MakeBag({2, 3, 9});
   RetrievalResult result;
@@ -57,11 +81,11 @@ TEST(CandidateIndexTest, RetrievesSharedTokenObjects) {
 
 TEST(CandidateIndexTest, EvictedVersionsStopMatching) {
   CandidateIndex index(/*window=*/1);
+  Windows windows;
   sim::DenseTokenWeights weights;
   weights.BuildUniform();
-  index.AppendBag(0, MakeBag({1, 2}));
-  index.AppendBag(0, MakeBag({5, 6}));  // evicts {1, 2} (window 1)
-  index.NoteEviction(MakeBag({1, 2}));
+  Roll(index, windows, 0, MakeBag({1, 2}));
+  Roll(index, windows, 0, MakeBag({5, 6}));  // evicts {1, 2} (window 1)
 
   FlatBag query = MakeBag({1, 2});
   RetrievalResult result;
@@ -72,26 +96,28 @@ TEST(CandidateIndexTest, EvictedVersionsStopMatching) {
 
 TEST(CandidateIndexTest, ValidEmptyObjectsTracksLiveEmptyVersions) {
   CandidateIndex index(/*window=*/2);
-  index.AppendBag(0, MakeBag({1}));
-  index.AppendBag(1, MakeBag({}));  // empty version
-  index.AppendBag(2, MakeBag({2}));
-  index.AppendBag(2, MakeBag({}));
+  Windows windows;
+  Roll(index, windows, 0, MakeBag({1}));
+  Roll(index, windows, 1, MakeBag({}));  // empty version
+  Roll(index, windows, 2, MakeBag({2}));
+  Roll(index, windows, 2, MakeBag({}));
 
   std::vector<uint32_t> empties;
   index.ValidEmptyObjects(&empties);
   EXPECT_EQ(empties, (std::vector<uint32_t>{1, 2}));
 
   // Roll object 1's window until the empty version dies.
-  index.AppendBag(1, MakeBag({3}));
-  index.AppendBag(1, MakeBag({4}));
+  Roll(index, windows, 1, MakeBag({3}));
+  Roll(index, windows, 1, MakeBag({4}));
   index.ValidEmptyObjects(&empties);
   EXPECT_EQ(empties, (std::vector<uint32_t>{2}));
+  ExpectValid(index, windows);
 }
 
 // Reference: per-object max overlap against every live window version,
 // computed from the windows directly.
 std::map<uint32_t, double> BruteOverlaps(
-    const std::vector<std::deque<FlatBag>>& windows, const FlatBag& query,
+    const Windows& windows, const FlatBag& query,
     const sim::DenseTokenWeights& weights) {
   std::map<uint32_t, double> best;
   for (size_t o = 0; o < windows.size(); ++o) {
@@ -107,12 +133,27 @@ std::map<uint32_t, double> BruteOverlaps(
   return best;
 }
 
+// Reference: per-object overlap with the max-over-window envelope,
+// sum_t w_t * min(count_query(t), max_v count_v(t)), computed per token
+// from the windows directly.
+double BruteEnvelopeOverlap(const std::deque<FlatBag>& window,
+                            const FlatBag& query,
+                            const sim::DenseTokenWeights& weights) {
+  double overlap = 0.0;
+  for (const FlatEntry& e : query.entries()) {
+    double best = 0.0;
+    for (const FlatBag& bag : window) best = std::max(best, bag.Count(e.id));
+    overlap += weights.Weight(e.id) * std::min(e.count, best);
+  }
+  return overlap;
+}
+
 TEST(CandidateIndexTest, RandomizedBoundsAreSoundUnderChurn) {
   Rng rng(20260809);
   const size_t kWindow = 3;
   const size_t kObjects = 24;
   CandidateIndex index(kWindow);
-  std::vector<std::deque<FlatBag>> windows(kObjects);
+  Windows windows(kObjects);
   sim::DenseTokenWeights weights;
   weights.BuildUniform();
 
@@ -125,21 +166,13 @@ TEST(CandidateIndexTest, RandomizedBoundsAreSoundUnderChurn) {
     return MakeBag(std::move(ids));
   };
 
-  // Seed one version per object, then churn for a few hundred appends.
+  // Seed one version per object, then churn for a few hundred rolls.
   for (size_t o = 0; o < kObjects; ++o) {
-    FlatBag bag = random_bag();
-    index.AppendBag(static_cast<uint32_t>(o), bag);
-    windows[o].push_back(bag);
+    Roll(index, windows, static_cast<uint32_t>(o), random_bag());
   }
   for (int step = 0; step < 300; ++step) {
-    const size_t o = rng.Index(kObjects);
-    FlatBag bag = random_bag();
-    index.AppendBag(static_cast<uint32_t>(o), bag);
-    windows[o].push_back(bag);
-    while (windows[o].size() > kWindow) {
-      index.NoteEviction(windows[o].front());
-      windows[o].pop_front();
-    }
+    Roll(index, windows, static_cast<uint32_t>(rng.Index(kObjects)),
+         random_bag());
 
     if (step % 10 != 0) continue;
     FlatBag query = random_bag();
@@ -150,22 +183,23 @@ TEST(CandidateIndexTest, RandomizedBoundsAreSoundUnderChurn) {
     EXPECT_EQ(result.slack, 0.0);
     std::map<uint32_t, double> brute = BruteOverlaps(windows, query, weights);
     // Every overlapping object is retrieved with a bound at or above its
-    // true max overlap, and nothing else is.
+    // true max overlap, and nothing else is. The bound is tight: it is
+    // the query's overlap with the object's envelope, no looser.
     ASSERT_EQ(result.candidates.size(), brute.size());
     for (const Candidate& c : result.candidates) {
       auto it = brute.find(c.object);
       ASSERT_NE(it, brute.end()) << "phantom candidate " << c.object;
       EXPECT_GE(c.overlap_bound, it->second - 1e-12)
           << "bound below true overlap for object " << c.object;
+      EXPECT_NEAR(c.overlap_bound,
+                  BruteEnvelopeOverlap(windows[c.object], query, weights),
+                  1e-12)
+          << "bound is not the envelope overlap for object " << c.object;
     }
   }
 
   // The index still agrees with the windows after all the churn.
-  ValidationReport report;
-  std::vector<const std::deque<FlatBag>*> window_ptrs;
-  for (const std::deque<FlatBag>& w : windows) window_ptrs.push_back(&w);
-  ValidateCandidateIndex(index, window_ptrs, &report);
-  EXPECT_TRUE(report.ok()) << report.ToString();
+  ExpectValid(index, windows);
 }
 
 TEST(CandidateIndexTest, CompactionIsInvisibleToQueries) {
@@ -174,28 +208,20 @@ TEST(CandidateIndexTest, CompactionIsInvisibleToQueries) {
   const size_t kWindow = 2;
   CandidateIndex churned(kWindow);
   Rng rng(7);
-  std::vector<std::deque<FlatBag>> windows(4);
+  Windows windows(4);
   for (int step = 0; step < 4000; ++step) {
     const size_t o = rng.Index(windows.size());
     std::vector<uint32_t> ids;
     for (int i = 0; i < 6; ++i) {
       ids.push_back(static_cast<uint32_t>(rng.UniformInt(0, 9)));
     }
-    FlatBag bag = MakeBag(std::move(ids));
-    churned.AppendBag(static_cast<uint32_t>(o), bag);
-    windows[o].push_back(bag);
-    while (windows[o].size() > kWindow) {
-      churned.NoteEviction(windows[o].front());
-      windows[o].pop_front();
-    }
+    Roll(churned, windows, static_cast<uint32_t>(o), MakeBag(std::move(ids)));
   }
   EXPECT_GT(churned.stats().compactions, 0u);
 
   CandidateIndex fresh(kWindow);
   for (size_t o = 0; o < windows.size(); ++o) {
-    for (const FlatBag& bag : windows[o]) {
-      fresh.AppendBag(static_cast<uint32_t>(o), bag);
-    }
+    fresh.UpdateWindow(static_cast<uint32_t>(o), windows[o]);
   }
 
   sim::DenseTokenWeights weights;
@@ -217,15 +243,70 @@ TEST(CandidateIndexTest, CompactionIsInvisibleToQueries) {
   }
 }
 
+TEST(CandidateIndexTest, StalePostingsStayBoundedUnderChurn) {
+  // Every roll retires a whole envelope; compaction must keep a full walk
+  // within twice the live envelope postings of the query's terms (plus
+  // the compaction floor), however long the churn runs.
+  const size_t kWindow = 5;
+  const size_t kObjects = 40;
+  const uint32_t kVocabulary = 200;
+  CandidateIndex index(kWindow);
+  Windows windows(kObjects);
+  Rng rng(31337);
+  std::vector<uint32_t> every_token(kVocabulary);
+  std::iota(every_token.begin(), every_token.end(), 0u);
+  const FlatBag query = MakeBag(every_token);
+  sim::DenseTokenWeights weights;
+  weights.BuildUniform();
+
+  uint64_t most_stale_seen = 0;
+  for (int step = 0; step < 6000; ++step) {
+    std::vector<uint32_t> ids;
+    for (int i = 0; i < 30; ++i) {
+      ids.push_back(static_cast<uint32_t>(rng.UniformInt(0, kVocabulary - 1)));
+    }
+    Roll(index, windows, static_cast<uint32_t>(rng.Index(kObjects)),
+         MakeBag(std::move(ids)));
+
+    if (step % 250 != 0) continue;
+    // Live envelope postings of the query's terms: per term, the objects
+    // whose window holds it.
+    uint64_t live = 0;
+    for (const FlatEntry& e : query.entries()) {
+      for (const std::deque<FlatBag>& window : windows) {
+        live += std::any_of(window.begin(), window.end(),
+                            [&](const FlatBag& bag) {
+                              return bag.Count(e.id) > 0.0;
+                            })
+                    ? 1
+                    : 0;
+      }
+    }
+    const uint64_t before = index.stats().postings_scanned;
+    RetrievalResult result;
+    index.RetrieveOverlaps(query, weights, query.TotalCount(), 0.0,
+                           /*allow_early_exit=*/false, &result);
+    const uint64_t scanned = index.stats().postings_scanned - before;
+    EXPECT_GE(scanned, live);
+    EXPECT_LE(scanned, 2 * live + CandidateIndex::kCompactionFloor)
+        << "at step " << step;
+    most_stale_seen = std::max(most_stale_seen, scanned - live);
+  }
+  EXPECT_GT(index.stats().compactions, 0u);
+  EXPECT_GT(most_stale_seen, 0u);  // the walks did meet stale postings
+  ExpectValid(index, windows);
+}
+
 TEST(CandidateIndexTest, WandEarlyExitSkipsTailAndReportsSlack) {
   // One object overlaps the query only through a low-cap tail term; with
   // a high theta the walk may stop early, but then the skipped mass is
   // surfaced as slack, keeping the bound sound.
   CandidateIndex index(/*window=*/2);
+  Windows windows;
   sim::DenseTokenWeights weights;
   weights.BuildUniform();
-  index.AppendBag(0, MakeBag({1, 1, 1, 2}));
-  index.AppendBag(1, MakeBag({3}));
+  Roll(index, windows, 0, MakeBag({1, 1, 1, 2}));
+  Roll(index, windows, 1, MakeBag({3}));
 
   FlatBag query = MakeBag({1, 1, 1, 3});
   RetrievalResult eager;
@@ -249,33 +330,47 @@ TEST(CandidateIndexTest, WandEarlyExitSkipsTailAndReportsSlack) {
 
 TEST(CandidateIndexTest, ValidatorCatchesWindowDisagreement) {
   CandidateIndex index(/*window=*/2);
-  index.AppendBag(0, MakeBag({1, 2}));
+  std::deque<FlatBag> posted;
+  posted.push_back(MakeBag({1, 2}));
+  index.UpdateWindow(0, posted);
 
-  // Matching window: clean.
-  std::deque<FlatBag> good;
-  good.push_back(MakeBag({1, 2}));
-  {
+  auto validate = [&index](const std::deque<FlatBag>& window) {
     ValidationReport report;
-    std::vector<const std::deque<FlatBag>*> windows{&good};
+    std::vector<const std::deque<FlatBag>*> windows{&window};
     ValidateCandidateIndex(index, windows, &report);
+    return report;
+  };
+  // Matching window: clean.
+  {
+    std::deque<FlatBag> good;
+    good.push_back(MakeBag({1, 2}));
+    ValidationReport report = validate(good);
     EXPECT_TRUE(report.ok()) << report.ToString();
   }
   // Window bag with a different count: flagged.
-  std::deque<FlatBag> bad;
-  bad.push_back(MakeBag({1, 2, 2}));
   {
-    ValidationReport report;
-    std::vector<const std::deque<FlatBag>*> windows{&bad};
-    ValidateCandidateIndex(index, windows, &report);
-    EXPECT_FALSE(report.ok());
+    std::deque<FlatBag> bad;
+    bad.push_back(MakeBag({1, 2, 2}));
+    EXPECT_FALSE(validate(bad).ok());
+  }
+  // An older version raising a token's max: the envelope count is stale.
+  {
+    std::deque<FlatBag> higher_max;
+    higher_max.push_back(MakeBag({1, 1}));
+    higher_max.push_back(MakeBag({1, 2}));
+    EXPECT_FALSE(validate(higher_max).ok());
+  }
+  // An empty version the index never saw: flagged.
+  {
+    std::deque<FlatBag> with_empty;
+    with_empty.push_back(MakeBag({}));
+    with_empty.push_back(MakeBag({1, 2}));
+    EXPECT_FALSE(validate(with_empty).ok());
   }
   // Missing window entry entirely: flagged.
-  std::deque<FlatBag> empty_window;
   {
-    ValidationReport report;
-    std::vector<const std::deque<FlatBag>*> windows{&empty_window};
-    ValidateCandidateIndex(index, windows, &report);
-    EXPECT_FALSE(report.ok());
+    std::deque<FlatBag> empty_window;
+    EXPECT_FALSE(validate(empty_window).ok());
   }
 }
 
