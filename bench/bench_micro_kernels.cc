@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the core kernels the matcher is
-// built from: similarity computation, IOF weighting, Hungarian matching,
-// wikitext/HTML parsing and object extraction. These quantify the
-// constants behind Fig. 11.
+// built from: similarity computation, IOF weighting, bag build, Hungarian
+// matching, wikitext/HTML parsing and object extraction. These quantify
+// the constants behind Fig. 11.
 
 #include <benchmark/benchmark.h>
 
@@ -10,11 +10,13 @@
 #include <functional>
 #include <string>
 
+#include "archive/socrata.h"
 #include "baselines/subject_column.h"
 #include "common/rng.h"
 #include "extract/features.h"
 #include "extract/html_extractor.h"
 #include "extract/wikitext_extractor.h"
+#include "matching/bag_cache.h"
 #include "matching/hungarian.h"
 #include "matching/matcher.h"
 #include "sim/similarity.h"
@@ -198,6 +200,84 @@ void BM_BuildBagOfWords(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildBagOfWords);
 
+/// Bag build of one snapshot of a large-lake Socrata context (one
+/// subdomain of 300 datasets, the datalake_batch workload's large half),
+/// per instance. Cold: a fresh pool, every bag tokenized and interned.
+/// Warm: the matcher's path at its last snapshot — the pool primed by
+/// every earlier snapshot, and instances whose bag-relevant bytes equal
+/// one of the previous snapshot copy that instance's bag (BagCache).
+class LakeBagBuild {
+ public:
+  LakeBagBuild() {
+    archive::SocrataConfig config;
+    config.subdomains = {"chicago"};
+    config.datasets_per_subdomain = 300;
+    config.num_snapshots = 12;
+    config.seed = 1002;
+    snapshots_ = std::move(archive::GenerateSocrata(config).front().snapshots);
+    for (size_t s = 0; s + 1 < snapshots_.size(); ++s) {
+      std::vector<FlatBag> bags;
+      previous_ = matching::BagCache();
+      for (size_t i = 0; i < snapshots_[s].size(); ++i) {
+        bags.push_back(extract::BuildFlatBag(snapshots_[s][i], warm_pool_));
+        previous_.Add(snapshots_[s][i], extract::FeatureOptions{});
+        previous_.SetObject(i, static_cast<uint32_t>(i));
+      }
+      previous_.Seal();
+      previous_bags_ = std::move(bags);
+    }
+  }
+
+  size_t instances() const { return snapshots_.back().size(); }
+
+  void Cold() const {
+    TokenPool pool;
+    for (const extract::ObjectInstance& obj : snapshots_.back()) {
+      benchmark::DoNotOptimize(extract::BuildFlatBag(obj, pool));
+    }
+  }
+
+  void Warm() {
+    matching::BagCache step;
+    const std::vector<extract::ObjectInstance>& last = snapshots_.back();
+    for (size_t i = 0; i < last.size(); ++i) {
+      step.Add(last[i], extract::FeatureOptions{});
+      const uint32_t source = previous_.Lookup(step, i);
+      benchmark::DoNotOptimize(
+          source != matching::BagCache::kNoObject
+              ? FlatBag(previous_bags_[source])
+              : extract::BuildFlatBag(last[i], warm_pool_));
+    }
+  }
+
+ private:
+  std::vector<std::vector<extract::ObjectInstance>> snapshots_;
+  TokenPool warm_pool_;
+  matching::BagCache previous_;
+  std::vector<FlatBag> previous_bags_;
+};
+
+LakeBagBuild& SharedLakeBagBuild() {
+  static LakeBagBuild* bench = new LakeBagBuild();
+  return *bench;
+}
+
+void BM_BuildFlatBagCold(benchmark::State& state) {
+  LakeBagBuild& bench = SharedLakeBagBuild();
+  for (auto _ : state) bench.Cold();
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(bench.instances()));
+}
+BENCHMARK(BM_BuildFlatBagCold)->Unit(benchmark::kMillisecond);
+
+void BM_BuildFlatBagWarm(benchmark::State& state) {
+  LakeBagBuild& bench = SharedLakeBagBuild();
+  for (auto _ : state) bench.Warm();
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(bench.instances()));
+}
+BENCHMARK(BM_BuildFlatBagWarm)->Unit(benchmark::kMillisecond);
+
 void BM_SubjectColumnDetection(benchmark::State& state) {
   Rng rng(7);
   wikigen::ContentGenerator gen(rng, wikigen::PageTheme::kGeneric);
@@ -231,8 +311,8 @@ double MeasureNsPerOp(int iters, const std::function<void()>& op) {
 
 /// Writes BENCH_matching.json: ns/op of the similarity kernels on
 /// string-hash bags (BagOfWords, still used by the baselines and the
-/// diff layer) and on interned FlatBag merge-joins, plus one full
-/// matching step.
+/// diff layer) and on interned FlatBag merge-joins, one full matching
+/// step, and the cold and warm bag build per lake instance.
 int WriteJsonReport(const std::string& path) {
   Rng rng(1);
   constexpr int kTokens = 256;
@@ -262,6 +342,12 @@ int WriteJsonReport(const std::string& path) {
     benchmark::DoNotOptimize(sim::WeightedRuzicka(flat_a, flat_b, weights));
   });
   double step_flat = MeasureNsPerOp(50, [&] { RunMatcher(revisions); });
+  LakeBagBuild& lake = SharedLakeBagBuild();
+  const double lake_instances = static_cast<double>(lake.instances());
+  double bag_build_cold = MeasureNsPerOp(3, [&] { lake.Cold(); }) /
+                          lake_instances;
+  double bag_build_warm = MeasureNsPerOp(3, [&] { lake.Warm(); }) /
+                          lake_instances;
 
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -274,11 +360,12 @@ int WriteJsonReport(const std::string& path) {
                "  \"ns_per_op\": {\n"
                "    \"sum_min_ruzicka\": {\"legacy\": %.1f, \"flat\": %.1f},\n"
                "    \"weighted_ruzicka\": {\"legacy\": %.1f, \"flat\": %.1f},\n"
-               "    \"matching_step\": {\"flat\": %.1f}\n"
+               "    \"matching_step\": {\"flat\": %.1f},\n"
+               "    \"bag_build\": {\"cold\": %.1f, \"warm\": %.1f}\n"
                "  }\n"
                "}\n",
                kTokens, sum_min_legacy, sum_min_flat, weighted_legacy,
-               weighted_flat, step_flat);
+               weighted_flat, step_flat, bag_build_cold, bag_build_warm);
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
   std::printf("sum_min_ruzicka   legacy %8.1f ns  flat %8.1f ns\n",
@@ -287,6 +374,8 @@ int WriteJsonReport(const std::string& path) {
               weighted_legacy, weighted_flat);
   std::printf("matching_step                        flat %8.1f ns\n",
               step_flat);
+  std::printf("bag_build (per lake instance)  cold %8.1f ns  warm %8.1f ns\n",
+              bag_build_cold, bag_build_warm);
   return 0;
 }
 

@@ -45,6 +45,8 @@ struct MatcherMetrics {
   obs::Counter* retrieval_postings;
   obs::Counter* retrieval_pruned;
   obs::Counter* retrieval_wand_skips;
+  obs::Counter* bags_reused;
+  obs::Counter* bags_built;
   obs::Histogram* step_seconds;
 };
 
@@ -77,6 +79,13 @@ MatcherMetrics& GetMatcherMetrics() {
     m->retrieval_wand_skips =
         r.GetCounter("somr_retrieval_wand_skips_total",
                      "postings skipped by WAND early termination");
+    m->bags_reused =
+        r.GetCounter("somr_match_bags_reused_total",
+                     "incoming bags copied from the previous step's "
+                     "identical instance");
+    m->bags_built =
+        r.GetCounter("somr_match_bags_built_total",
+                     "incoming bags tokenized and interned");
     m->step_seconds = r.GetHistogram(
         "somr_match_step_seconds", "wall time of one matching step", 1e-6,
         2.0, 24);
@@ -322,6 +331,8 @@ void TemporalMatcher::ProcessRevision(
   const size_t stage3_before = stats_.stage3_matches;
   const size_t new_objects_before = stats_.new_objects;
   const size_t tracked_before = tracked_.size();
+  const size_t reused_before = bags_reused_;
+  const size_t built_before = bags_built_;
   const retrieval::RetrievalStats retrieval_before =
       index_ != nullptr ? index_->stats() : retrieval::RetrievalStats{};
   last_step_candidates_ = 0;
@@ -359,6 +370,8 @@ void TemporalMatcher::ProcessRevision(
   bump(metrics.stage2_matches, stats_.stage2_matches, stage2_before);
   bump(metrics.stage3_matches, stats_.stage3_matches, stage3_before);
   bump(metrics.new_objects, stats_.new_objects, new_objects_before);
+  bump(metrics.bags_reused, bags_reused_, reused_before);
+  bump(metrics.bags_built, bags_built_, built_before);
   if (index_ != nullptr) {
     const retrieval::RetrievalStats& r = index_->stats();
     bump(metrics.retrieval_postings, r.postings_scanned,
@@ -403,11 +416,28 @@ void TemporalMatcher::ProcessRevisionFlat(
   const size_t window =
       static_cast<size_t>(std::max(config_.rear_view_window, 1));
 
-  // Compile the incoming instances straight into interned flat bags.
+  // Compile the incoming instances straight into interned flat bags. An
+  // instance whose bag-relevant bytes equal an instance of the previous
+  // step copies that instance's bag: BuildFlatBag would find every token
+  // already interned and compile the same ids, so the copy is the bag it
+  // would build, and the pool is untouched either way.
   std::vector<FlatBag> incoming;
   incoming.reserve(nn);
-  for (const extract::ObjectInstance& obj : instances) {
-    incoming.push_back(extract::BuildFlatBag(obj, pool_, config_.features));
+  BagCache step_keys;
+  {
+    SOMR_TRACE_SCOPE_CAT("match", "match/bag_build");
+    for (size_t ni = 0; ni < nn; ++ni) {
+      step_keys.Add(instances[ni], config_.features);
+      const uint32_t source = bag_cache_.Lookup(step_keys, ni);
+      if (source != BagCache::kNoObject) {
+        incoming.push_back(tracked_[source].recent_flat.back());
+        ++bags_reused_;
+        continue;
+      }
+      incoming.push_back(
+          extract::BuildFlatBag(instances[ni], pool_, config_.features));
+      ++bags_built_;
+    }
   }
 
   // Build the retrieval index on the first step that wants it (the
@@ -840,6 +870,7 @@ void TemporalMatcher::ProcessRevisionFlat(
   CommitAssignments(
       revision_index, instances, assignment, considered_per_ni,
       [&](Tracked& t, size_t ni) {
+        step_keys.SetObject(ni, static_cast<uint32_t>(t.id));
         // Keep the incremental previous-version document frequencies in
         // lockstep with the newest window bag of each touched object.
         if (incremental_weights && !t.recent_flat.empty()) {
@@ -852,6 +883,10 @@ void TemporalMatcher::ProcessRevisionFlat(
         }
         if (incremental_weights) weights_.AddPrevBag(t.recent_flat.back());
       });
+  // Every instance now sits at the back of its object's window, where
+  // the next step's hits copy it from.
+  step_keys.Seal();
+  bag_cache_ = std::move(step_keys);
 }
 
 bool TemporalMatcher::WantsIndex() const {

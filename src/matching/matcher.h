@@ -8,6 +8,7 @@
 
 #include "extract/features.h"
 #include "extract/object.h"
+#include "matching/bag_cache.h"
 #include "matching/identity_graph.h"
 #include "matching/interface.h"
 #include "obs/provenance.h"
@@ -234,6 +235,11 @@ class TemporalMatcher : public RevisionMatcher {
   /// maintained incrementally, which is why snapshots don't serialize it.
   void RebuildDerivedState();
 
+  /// Drops the bag cache: the next step builds every bag. The snapshot
+  /// loader calls this after restoring the core state, because the cache
+  /// names tracked objects of the state it was filled in.
+  void ClearBagCache() { bag_cache_ = BagCache(); }
+
   /// Tie-break perturbation added to a similarity score; strictly smaller
   /// than any meaningful similarity difference. The position and
   /// lifetime components are also reported separately in provenance
@@ -268,6 +274,15 @@ class TemporalMatcher : public RevisionMatcher {
   std::vector<double> hist_total_cache_;
   std::vector<uint64_t> hist_total_stamp_;
   uint64_t step_serial_ = 0;
+  /// The previous step's instance keys: an incoming instance with the
+  /// same bag-relevant bytes reuses that instance's bag, the newest
+  /// window bag of the object it went to (see BagCache). Derived state:
+  /// never serialized, cold after a restore.
+  BagCache bag_cache_;
+  /// Incoming bags reused from bag_cache_ / built by BuildFlatBag since
+  /// construction (feed the somr_match_bags_*_total counters).
+  size_t bags_reused_ = 0;
+  size_t bags_built_ = 0;
   /// Candidate pairs enumerated across all stages of the last step (the
   /// step provenance record's candidates_considered).
   size_t last_step_candidates_ = 0;

@@ -196,6 +196,32 @@ void TemporalMatcher::Validate(ValidationReport* report) const {
       }
     }
   }
+  // Every bag-cache entry must hold bytes whose bag — re-derived with
+  // TokenPool::Find only, so this check interns nothing — is the newest
+  // window bag of the object the entry names: that is the bag a hit
+  // copies.
+  for (size_t e = 0; e < bag_cache_.size(); ++e) {
+    if (!bag_cache_.cacheable(e)) continue;
+    const uint32_t object = bag_cache_.object(e);
+    if (object >= tracked_.size() || tracked_[object].recent_flat.empty()) {
+      report->AddIssue("bag_cache")
+          << "entry " << e << " names object " << object
+          << " which has no window bag";
+      continue;
+    }
+    FlatBag rederived;
+    if (!extract::FindFlatBag(bag_cache_.key(e), pool_, config_.features,
+                              &rederived)) {
+      report->AddIssue("bag_cache")
+          << "entry " << e << " (object " << object
+          << ") holds bytes that do not re-derive a bag from the pool";
+    } else if (!(rederived == tracked_[object].recent_flat.back())) {
+      report->AddIssue("bag_cache")
+          << "entry " << e << " (object " << object
+          << ") re-derives a bag that differs from the object's newest "
+             "window bag";
+    }
+  }
   // Cross-check the retrieval index against the rear-view windows it
   // shadows (the "retrieval_index" registered validator).
   if (index_ != nullptr) {

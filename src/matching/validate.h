@@ -55,6 +55,10 @@ void ValidateMatcherConfig(const MatcherConfig& config,
 SOMR_REGISTER_VALIDATOR(identity_graph, "identity_graph",
                         "identity graphs are sets of linear, strictly "
                         "revision-monotone version chains (Alg. 1)");
+SOMR_REGISTER_VALIDATOR(bag_cache, "bag_cache",
+                        "every bag-cache entry names a tracked object whose "
+                        "newest window bag is the bag of the entry's bytes, "
+                        "re-derived without interning");
 SOMR_REGISTER_VALIDATOR(matching, "matching",
                         "step assignments are one-to-one onto existing "
                         "objects; rear-view depth <= k; accepted "

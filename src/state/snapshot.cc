@@ -498,6 +498,7 @@ class MatcherSerde {
       m.stats_.step_millis.push_back(ms);
     }
     m.RebuildDerivedState();
+    m.ClearBagCache();
     return Status::OK();
   }
   static void AppendOne(const matching::TemporalMatcher& m, ByteWriter& w) {
@@ -608,6 +609,7 @@ class MatcherSerde {
     // windows under the matcher's own size rule — the rebuilt index
     // retrieves identically by construction.
     m.RebuildDerivedState();
+    m.ClearBagCache();
     return Status::OK();
   }
 };

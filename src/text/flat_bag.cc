@@ -19,22 +19,10 @@ FlatBag FlatBag::FromBag(const BagOfWords& bag, TokenPool& pool) {
   return flat;
 }
 
-FlatBag FlatBag::FromTokenIds(std::vector<uint32_t> ids) {
-  FlatBag flat;
-  if (ids.empty()) return flat;
-  std::sort(ids.begin(), ids.end());
-  flat.entries_.reserve(ids.size());
-  size_t run_start = 0;
-  for (size_t i = 1; i <= ids.size(); ++i) {
-    if (i == ids.size() || ids[i] != ids[run_start]) {
-      flat.entries_.push_back(
-          {ids[run_start], static_cast<double>(i - run_start)});
-      run_start = i;
-    }
-  }
-  flat.total_ = static_cast<double>(ids.size());
-  flat.BuildIdColumn();
-  return flat;
+FlatBag FlatBag::FromTokenIds(const std::vector<uint32_t>& ids) {
+  FlatBagBuilder& builder = FlatBagBuilder::PerThread();
+  for (uint32_t id : ids) builder.Add(id);
+  return builder.Finish();
 }
 
 FlatBag FlatBag::FromEntries(std::vector<FlatEntry> entries) {
@@ -63,6 +51,32 @@ BagOfWords FlatBag::ToBag(const TokenPool& pool) const {
   BagOfWords bag;
   for (const FlatEntry& e : entries_) bag.Add(pool.Spelling(e.id), e.count);
   return bag;
+}
+
+void FlatBagBuilder::Widen(uint32_t id) {
+  counts_.resize(std::max<size_t>(size_t{id} + 1, counts_.size() * 2), 0);
+}
+
+FlatBag FlatBagBuilder::Finish() {
+  FlatBag flat;
+  std::sort(distinct_.begin(), distinct_.end());
+  flat.entries_.reserve(distinct_.size());
+  for (uint32_t id : distinct_) {
+    flat.entries_.push_back({id, static_cast<double>(counts_[id])});
+    counts_[id] = 0;
+  }
+  // The total is the occurrence count itself, an exact integer, so it
+  // equals the sum of the entry counts in any order.
+  flat.total_ = static_cast<double>(total_);
+  flat.BuildIdColumn();
+  distinct_.clear();
+  total_ = 0;
+  return flat;
+}
+
+FlatBagBuilder& FlatBagBuilder::PerThread() {
+  thread_local FlatBagBuilder builder;
+  return builder;
 }
 
 }  // namespace somr

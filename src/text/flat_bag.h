@@ -34,9 +34,9 @@ class FlatBag {
   static FlatBag FromBag(const BagOfWords& bag, TokenPool& pool);
 
   /// Builds a bag from unit-weight token occurrences (repeats allowed,
-  /// any order): sorts and run-length encodes. This is the fast path used
-  /// by extract::BuildFlatBag.
-  static FlatBag FromTokenIds(std::vector<uint32_t> ids);
+  /// any order) through this thread's FlatBagBuilder. Ids are pool ids:
+  /// the builder's scratch grows to the largest id seen.
+  static FlatBag FromTokenIds(const std::vector<uint32_t>& ids);
 
   /// Rebuilds a bag from previously compiled entries (snapshot restore).
   /// Entries must be strictly ascending by id with positive counts —
@@ -71,11 +71,42 @@ class FlatBag {
   bool operator==(const FlatBag&) const = default;
 
  private:
+  friend class FlatBagBuilder;
+
   void BuildIdColumn();
 
   std::vector<FlatEntry> entries_;  // ascending by id
   std::vector<uint32_t> ids_;       // id column of entries_, contiguous
   double total_ = 0.0;
+};
+
+/// Compiles unit-weight token occurrences into a FlatBag. Occurrences are
+/// counted in a scratch array indexed by id, so finishing a bag sorts only
+/// its distinct ids, not every occurrence. The scratch (4 bytes per id up
+/// to the largest id added) is zeroed again by Finish and reused for the
+/// next bag; it allocates on first use. extract::BuildFlatBag and
+/// FlatBag::FromTokenIds share one builder per thread (PerThread).
+class FlatBagBuilder {
+ public:
+  /// Adds one occurrence of `id`.
+  void Add(uint32_t id) {
+    if (id >= counts_.size()) Widen(id);
+    if (counts_[id]++ == 0) distinct_.push_back(id);
+    ++total_;
+  }
+
+  /// The bag of every id added since the last Finish; resets the builder.
+  FlatBag Finish();
+
+  /// This thread's builder.
+  static FlatBagBuilder& PerThread();
+
+ private:
+  void Widen(uint32_t id);
+
+  std::vector<uint32_t> counts_;    // per id; all zero between bags
+  std::vector<uint32_t> distinct_;  // ids of the current bag
+  size_t total_ = 0;                // occurrences in the current bag
 };
 
 }  // namespace somr

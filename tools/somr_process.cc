@@ -194,10 +194,10 @@ int main(int argc, char** argv) {
       }
     }
     // The graph checks above run on pipeline outputs alone; the matcher
-    // validators (including "retrieval_index") need live matcher state,
-    // so re-run matching per page and validate every final matcher. A
-    // matcher that stayed below the index threshold has no index to
-    // check.
+    // validators (including "retrieval_index" and "bag_cache") need live
+    // matcher state, so re-run matching per page and validate every final
+    // matcher. A matcher that stayed below the index threshold has no
+    // index to check.
     size_t matchers_swept = 0, matchers_indexed = 0;
     for (const core::PageResult& page : *results) {
       for (extract::ObjectType type : kAllTypes) {
